@@ -14,7 +14,9 @@
 // The 8x8 grid additionally runs as a torus (docs/topology.md): wrap links
 // plus the dateline VC planes ride the same gating contract, and the
 // torus rows feed the same identity + speedup floors in
-// ci/bench_floors.json. Results go to BENCH_mesh_gating.json.
+// ci/bench_floors.json. Every row also reports flit_hops_per_us, the gated
+// run's link traversals per wall-clock microsecond — the router's absolute
+// speed, floored on 16x16_all_to_all. Results go to BENCH_mesh_gating.json.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -196,6 +198,8 @@ int main() {
                   static_cast<double>(full.router_visits)},
                  {"full_scan_bound", static_cast<double>(bound)},
                  {"flits_routed", static_cast<double>(full.flits)},
+                 {"flit_hops_per_us",
+                  static_cast<double>(gated.flits) / (1e6 * gated.wall_seconds)},
                  {"identical", identical ? 1.0 : 0.0}});
         }
     }

@@ -3,7 +3,7 @@
 // FaultModel draws one fault decision per (router, flit serial) pair from a
 // counter-based hash of the configured seed — no RNG state, no draw order.
 // The same seed therefore fires the exact same faults at any --jobs level,
-// under any shard split, and in worklist or full-scan router mode: a fault
+// under any shard split, and in gated or full-scan router mode: a fault
 // site is a pure function of (seed, router, serial), and serials are
 // assigned in NI evaluation order, which is identical across all schedules.
 //

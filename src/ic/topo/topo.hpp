@@ -2,7 +2,7 @@
 //
 // A Topology owns the node/link adjacency of the network and the
 // deterministic routing function; XpipesNetwork (routers, NIs, the active
-// worklist) and analytic::Evaluator (route walking, per-link offered load)
+// set) and analytic::Evaluator (route walking, per-link offered load)
 // are written against this interface and never against XY coordinates.
 // Three implementations ship:
 //

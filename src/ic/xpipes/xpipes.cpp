@@ -1,5 +1,6 @@
 #include "ic/xpipes/xpipes.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 namespace tgsim::ic {
@@ -24,20 +25,60 @@ XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     n_planes_ = kNumPlanes * vc_count_;
     bubble_ = topo_->needs_bubble();
     fault_on_ = cfg_.fault.enabled();
-    routers_.resize(node_count());
-    const std::size_t slots =
-        static_cast<std::size_t>(n_planes_) * static_cast<std::size_t>(n_ports_);
-    for (Router& r : routers_) {
-        r.in.resize(slots);
-        r.bound_in.assign(slots, -1);
-        r.rr.assign(slots, 0);
-        r.fault.resize(slots);
+    const u32 nodes = node_count();
+    n_slots_ = static_cast<u32>(n_planes_ * n_ports_);
+    const std::size_t fifos = std::size_t{nodes} * n_slots_;
+    // Moves address FIFOs by 32-bit global index.
+    if (fifos > ~u32{0})
+        throw std::invalid_argument{"XpipesNetwork: fabric too large"};
+    buf_.resize(fifos * cfg_.fifo_depth);
+    in_.resize(fifos);
+    bound_.assign(fifos, -1);
+    rr_.assign(fifos, 0);
+    const u32 req_bits = static_cast<u32>(n_ports_ * vc_count_);
+    mask_words_ = (req_bits + 63) / 64;
+    req_mask_.assign(fifos * mask_words_, 0);
+    load_.resize(nodes);
+    if (fault_on_) fault_.resize(fifos);
+    active_.assign((nodes + 63) / 64, 0);
+
+    // Request bits follow the allocator's scan order: port-major, VC0
+    // before VC1 within a port, so round-robin from bit rr * vc_count_
+    // visits inputs exactly as a (port, vc) rescan would.
+    slot_bit_.resize(n_slots_);
+    bit_slot_.resize(static_cast<std::size_t>(kNumPlanes) * req_bits);
+    for (int plane = 0; plane < n_planes_; ++plane) {
+        for (int port = 0; port < n_ports_; ++port) {
+            const u32 bit = static_cast<u32>(port * vc_count_ + plane % vc_count_);
+            slot_bit_[pidx(plane, port)] = bit;
+            bit_slot_[static_cast<std::size_t>(plane / vc_count_) * req_bits +
+                      bit] = static_cast<u32>(pidx(plane, port));
+        }
     }
-    master_at_node_.assign(node_count(), -1);
-    slave_at_node_.assign(node_count(), -1);
-    active_mark_.assign(node_count(), 0);
-    active_.reserve(node_count());
-    scratch_.reserve(node_count());
+    // Output channels. Responses leave through LM, requests through LS;
+    // neighbour links carry both planes. An NI rx is one resource, not one
+    // per VC, so requests to eject name the VC0 channel, which drains every
+    // input VC of its protocol plane.
+    chans_.resize(n_slots_);
+    for (int dp = 0; dp < n_planes_; ++dp)
+        for (int out = 0; out < n_ports_; ++out)
+            chans_[pidx(dp, out)] = OutChan{
+                out, dp, dp / vc_count_, out == lm_port_ || out == ls_port_};
+    live_words_ = (n_slots_ + 63) / 64;
+    live_.assign(std::size_t{nodes} * live_words_, 0);
+    hops_.resize(std::size_t{nodes} * static_cast<std::size_t>(n_ports_));
+    for (u32 r = 0; r < nodes; ++r) {
+        for (int out = 0; out < lm_port_; ++out) {
+            const auto nbr = topo_->link(r, out);
+            if (!nbr) continue; // dead port: routing never selects one
+            hops_[std::size_t{r} * static_cast<std::size_t>(n_ports_) +
+                  static_cast<std::size_t>(out)] =
+                Hop{nbr->node, static_cast<u32>(nbr->node * n_slots_ +
+                                                pidx(0, nbr->port))};
+        }
+    }
+    master_at_node_.assign(nodes, -1);
+    slave_at_node_.assign(nodes, -1);
     moves_.reserve(16);
 }
 
@@ -88,10 +129,15 @@ std::size_t XpipesNetwork::connect_slave(ocp::ChannelRef ch, u32 base, u32 size,
     return idx;
 }
 
-int XpipesNetwork::route(u16 node, const FlitHeader& hdr) const noexcept {
-    const int port = topo_->route(node, hdr.dest_node);
-    if (port >= 0) return port;
-    return hdr.is_resp ? lm_port_ : ls_port_;
+u32 XpipesNetwork::new_packet(const Packet& p) {
+    if (free_pkts_.empty()) {
+        pkts_.push_back(p);
+        return static_cast<u32>(pkts_.size() - 1);
+    }
+    const u32 h = free_pkts_.back();
+    free_pkts_.pop_back();
+    pkts_[h] = p;
+    return h;
 }
 
 void XpipesNetwork::eval_master_ni(MasterNi& ni) {
@@ -136,24 +182,26 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
                 }
                 break;
             }
-            Flit head;
-            head.kind = Flit::Kind::Head;
-            head.hdr.cmd = ni.cmd;
-            head.hdr.addr = ch.m_addr();
-            head.hdr.burst = ni.burst;
-            head.hdr.src_node = ni.node;
-            head.hdr.dest_node = slave_node_[*slave_idx];
-            head.hdr.is_resp = false;
-            head.hdr.inject = now_;
-            head.hdr.created = now_; // closed loop: creation == injection
-            ni.inject = now_;
-            ni.created = now_;
+            Packet pk;
+            pk.hdr.cmd = ni.cmd;
+            pk.hdr.addr = ch.m_addr();
+            pk.hdr.burst = ni.burst;
+            pk.hdr.src_node = ni.node;
+            pk.hdr.dest_node = slave_node_[*slave_idx];
+            pk.hdr.is_resp = false;
+            pk.created = now_; // closed loop: creation == injection
+            pk.inject = now_;
+            if (fault_on_) {
+                pk.hdr.seq = ++ni.seq;
+                pk.head_serial = next_serial_++;
+            }
+            ni.pkt = new_packet(pk);
+            const Flit head = make_flit(Flit::Kind::Head, ni.pkt);
             if (fault_on_) {
                 // The transaction enters the fault domain: retain the
                 // packet for replay, arm the retry timer, open the
                 // accountability window (docs/faults.md).
-                head.hdr.seq = ++ni.seq;
-                head.serial = next_serial_++;
+                ni.retained = pk;
                 ni.pkt_copy.clear();
                 ni.pkt_copy.push_back(head);
                 ni.tx_csum = csum_init();
@@ -173,11 +221,10 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             ch.s_cmd_accept() = true;
             ch.touch_s();
             if (ocp::is_write(ni.cmd)) {
-                Flit beat;
-                beat.kind = Flit::Kind::Payload;
+                Flit beat = make_flit(Flit::Kind::Payload, 0);
                 beat.payload = ch.m_data();
                 if (fault_on_) {
-                    beat.serial = next_serial_++;
+                    beat.tag = next_serial_++;
                     ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
                     ni.pkt_copy.push_back(beat);
                 }
@@ -185,9 +232,9 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
                 ++flits_active_;
                 ni.beats = 1;
                 if (ni.beats == ni.burst) {
-                    Flit tail = make_tail(ni.created, ni.inject);
+                    Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
                     if (fault_on_) {
-                        tail.serial = next_serial_++;
+                        pkts_[ni.pkt].tail_serial = next_serial_++;
                         tail.payload = ni.tx_csum;
                         ni.pkt_copy.push_back(tail);
                     }
@@ -199,9 +246,9 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
                     ni.st = MasterNi::St::CollectWrite;
                 }
             } else {
-                Flit tail = make_tail(ni.created, ni.inject);
+                Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
                 if (fault_on_) {
-                    tail.serial = next_serial_++;
+                    pkts_[ni.pkt].tail_serial = next_serial_++;
                     tail.payload = ni.tx_csum;
                     ni.pkt_copy.push_back(tail);
                 }
@@ -216,11 +263,10 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             ch.s_cmd_accept() = true;
             ch.touch_s();
             if (!ni.err) {
-                Flit beat;
-                beat.kind = Flit::Kind::Payload;
+                Flit beat = make_flit(Flit::Kind::Payload, 0);
                 beat.payload = ch.m_data();
                 if (fault_on_) {
-                    beat.serial = next_serial_++;
+                    beat.tag = next_serial_++;
                     ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
                     ni.pkt_copy.push_back(beat);
                 }
@@ -234,9 +280,9 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
             ++ni.beats;
             if (ni.beats == ni.burst) {
                 if (!ni.err) {
-                    Flit tail = make_tail(ni.created, ni.inject);
+                    Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
                     if (fault_on_) {
-                        tail.serial = next_serial_++;
+                        pkts_[ni.pkt].tail_serial = next_serial_++;
                         tail.payload = ni.tx_csum;
                         ni.pkt_copy.push_back(tail);
                     }
@@ -328,28 +374,25 @@ void XpipesNetwork::open_accept(MasterNi& ni) {
         }
         return;
     }
-    Flit head;
-    head.kind = Flit::Kind::Head;
-    head.hdr.cmd = ni.cmd;
-    head.hdr.addr = ch.m_addr();
-    head.hdr.burst = ni.burst;
-    head.hdr.src_node = ni.node;
-    head.hdr.dest_node = slave_node_[*slave_idx];
-    head.hdr.is_resp = false;
-    head.hdr.created = now_;
-    head.hdr.inject = now_; // provisional: restamped when the packet drains
-    ni.created = now_;
-    ni.inject = now_;
-    ni.pending.push_back(head);
+    Packet pk;
+    pk.hdr.cmd = ni.cmd;
+    pk.hdr.addr = ch.m_addr();
+    pk.hdr.burst = ni.burst;
+    pk.hdr.src_node = ni.node;
+    pk.hdr.dest_node = slave_node_[*slave_idx];
+    pk.hdr.is_resp = false;
+    pk.created = now_;
+    pk.inject = now_; // provisional: restamped when the packet drains
+    ni.pkt = new_packet(pk);
+    ni.pending.push_back(make_flit(Flit::Kind::Head, ni.pkt));
     ++stats_.packets_sent;
     if (ocp::is_write(ni.cmd)) {
-        Flit beat;
-        beat.kind = Flit::Kind::Payload;
+        Flit beat = make_flit(Flit::Kind::Payload, 0);
         beat.payload = ch.m_data();
         ni.pending.push_back(beat);
         ni.beats = 1;
         if (ni.beats == ni.burst) {
-            ni.pending.push_back(make_tail(ni.created, ni.inject));
+            ni.pending.push_back(make_flit(Flit::Kind::Tail, ni.pkt));
             open_seal_packet(ni);
         } else {
             ni.st = MasterNi::St::CollectWrite;
@@ -357,7 +400,7 @@ void XpipesNetwork::open_accept(MasterNi& ni) {
     } else {
         // Reads queue Head + Tail and the NI stays Idle: the response is
         // absorbed at delivery, never replayed over OCP.
-        ni.pending.push_back(make_tail(ni.created, ni.inject));
+        ni.pending.push_back(make_flit(Flit::Kind::Tail, ni.pkt));
         open_seal_packet(ni);
     }
 }
@@ -373,12 +416,13 @@ void XpipesNetwork::open_drain_pending(MasterNi& ni) {
     if (ni.pending_tails == 0 || !ni.tx.empty()) return;
     if (open_max_out_ > 0 && ni.outstanding >= open_max_out_) return;
     // Hand the oldest complete packet to tx; its in-network life starts
-    // now, so restamp inject on the stamp-carrying flits (Head and Tail).
-    const bool read = ocp::is_read(ni.pending.front().hdr.cmd);
+    // now, so restamp its inject time.
+    Packet& pk = pkts_[ni.pending.front().tag];
+    pk.inject = now_;
+    const bool read = ocp::is_read(pk.hdr.cmd);
     for (;;) {
-        Flit f = ni.pending.front();
+        const Flit f = ni.pending.front();
         ni.pending.pop_front();
-        if (f.kind != Flit::Kind::Payload) f.hdr.inject = now_;
         const bool was_tail = f.kind == Flit::Kind::Tail;
         ni.tx.push_back(f);
         ++flits_active_;
@@ -391,13 +435,14 @@ void XpipesNetwork::open_drain_pending(MasterNi& ni) {
 }
 
 void XpipesNetwork::record_delivery(const Flit& tail) {
-    stats_.packet_latency.record(now_ - tail.hdr.created);
+    const Packet& pk = pkts_[tail.tag];
+    stats_.packet_latency.record(now_ - pk.created);
     if (open_) {
         // Per-packet decomposition, recorded back-to-back so sample i in
         // each series refers to the same packet and
         // source_q + net == end-to-end holds exactly in integer cycles.
-        stats_.net_latency.record(now_ - tail.hdr.inject);
-        stats_.source_q_latency.record(tail.hdr.inject - tail.hdr.created);
+        stats_.net_latency.record(now_ - pk.inject);
+        stats_.source_q_latency.record(pk.inject - pk.created);
     }
 }
 
@@ -438,8 +483,24 @@ void XpipesNetwork::retry_or_give_up(MasterNi& ni) {
     }
     ++ni.attempts;
     ++rel.retries;
+    // The replay is a packet of its own (the original's entry is released
+    // when its Tail is consumed) with fresh serials: independent fault
+    // draws, assigned in flit order as on the first attempt.
+    const u32 h = new_packet(ni.retained);
     for (Flit f : ni.pkt_copy) {
-        f.serial = next_serial_++; // fresh serials: independent fault draws
+        switch (f.kind) {
+            case Flit::Kind::Head:
+                f.tag = h;
+                pkts_[h].head_serial = next_serial_++;
+                break;
+            case Flit::Kind::Payload:
+                f.tag = next_serial_++;
+                break;
+            case Flit::Kind::Tail:
+                f.tag = h;
+                pkts_[h].tail_serial = next_serial_++;
+                break;
+        }
         ni.tx.push_back(f);
         ++flits_active_;
     }
@@ -458,7 +519,7 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
         case SlaveNi::St::Idle: {
             if (ni.tails_in_rx == 0) break;
             // Pop one whole packet (Head .. Tail).
-            ni.hdr = ni.rx.front().hdr;
+            ni.hdr = pkts_[ni.rx.front().tag].hdr;
             ni.rx.pop_front();
             ni.wdata.clear();
             while (!ni.rx.empty() && ni.rx.front().kind == Flit::Kind::Payload) {
@@ -466,6 +527,7 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
                 ni.rx.pop_front();
             }
             // Tail
+            free_packet(static_cast<u32>(ni.rx.front().tag));
             ni.rx.pop_front();
             --ni.tails_in_rx;
             ni.beats_driven = 0;
@@ -525,38 +587,31 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             ch.m_resp_accept() = true;
             ch.touch_m();
             if (ni.beats_resp == 0) {
-                // Response packets are measured per packet: restamp with
-                // their own creation cycle (the request's delivery sample
-                // was already taken when its Tail reached this NI).
-                // Responses never queue at a source, so created == inject
-                // and their source-queueing latency is 0 in open mode.
-                ni.hdr.inject = now_;
-                ni.hdr.created = now_;
+                // Response packets are measured per packet, from their own
+                // creation cycle (the request's delivery sample was already
+                // taken when its Tail reached this NI). Responses never
+                // queue at a source, so created == inject and their
+                // source-queueing latency is 0 in open mode.
                 ni.resp_err = false;
-                Flit head;
-                head.kind = Flit::Kind::Head;
-                head.hdr = ni.hdr;
-                head.hdr.is_resp = true;
-                head.hdr.dest_node = ni.hdr.src_node;
-                head.hdr.src_node = ni.node;
+                Packet pk = response_packet(ni);
                 if (fault_on_) {
-                    head.serial = next_serial_++;
+                    pk.head_serial = next_serial_++;
                     ni.resp_csum = csum_init();
                 }
-                ni.tx.push_back(head);
+                ni.resp_pkt = new_packet(pk);
+                ni.tx.push_back(make_flit(Flit::Kind::Head, ni.resp_pkt));
                 ++flits_active_;
                 ++stats_.packets_sent;
             }
             // An Err beat travels as a poisoned payload with the error flag
             // set, so the far NI can replay it as Resp::Err instead of
             // laundering it into ordinary data.
-            Flit beat;
-            beat.kind = Flit::Kind::Payload;
+            Flit beat = make_flit(Flit::Kind::Payload, 0);
             beat.err = (ch.s_resp() == ocp::Resp::Err);
             beat.payload = beat.err ? kPoison : ch.s_data();
             if (beat.err) ni.resp_err = true;
             if (fault_on_) {
-                beat.serial = next_serial_++;
+                beat.tag = next_serial_++;
                 ni.resp_csum = csum_step(ni.resp_csum, beat.payload);
             }
             ni.tx.push_back(beat);
@@ -566,10 +621,10 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
                 // The tail summarises the packet: err marks an Err-carrying
                 // response (kept out of the latency percentiles at the far
                 // NI), payload carries the checksum in fault mode.
-                Flit tail = make_tail(ni.hdr.created, ni.hdr.inject);
+                Flit tail = make_flit(Flit::Kind::Tail, ni.resp_pkt);
                 tail.err = ni.resp_err;
                 if (fault_on_) {
-                    tail.serial = next_serial_++;
+                    pkts_[ni.resp_pkt].tail_serial = next_serial_++;
                     tail.payload = ni.resp_csum;
                 }
                 ni.tx.push_back(tail);
@@ -581,218 +636,258 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
     }
 }
 
+XpipesNetwork::Packet XpipesNetwork::response_packet(const SlaveNi& ni) const {
+    Packet pk;
+    pk.hdr = ni.hdr;
+    pk.hdr.is_resp = true;
+    pk.hdr.dest_node = ni.hdr.src_node;
+    pk.hdr.src_node = ni.node;
+    pk.created = now_;
+    pk.inject = now_;
+    return pk;
+}
+
 void XpipesNetwork::push_ack(SlaveNi& ni) {
     // Write acknowledgement: a Head + Tail response-plane packet echoing
     // the request's seq. Only exists in fault mode (writes stop being
     // posted end-to-end — the documented cost of reliable delivery).
-    Flit head;
-    head.kind = Flit::Kind::Head;
-    head.hdr = ni.hdr;
-    head.hdr.is_resp = true;
-    head.hdr.dest_node = ni.hdr.src_node;
-    head.hdr.src_node = ni.node;
-    head.hdr.inject = now_;
-    head.serial = next_serial_++;
-    ni.tx.push_back(head);
+    Packet pk = response_packet(ni);
+    pk.head_serial = next_serial_++;
+    pk.tail_serial = next_serial_++;
+    const u32 h = new_packet(pk);
+    ni.tx.push_back(make_flit(Flit::Kind::Head, h));
     ++flits_active_;
     ++stats_.packets_sent;
-    Flit tail = make_tail(now_, now_);
-    tail.serial = next_serial_++;
+    Flit tail = make_flit(Flit::Kind::Tail, h);
     tail.payload = csum_init(); // checksum over zero payload beats
     ni.tx.push_back(tail);
     ++flits_active_;
 }
 
-void XpipesNetwork::enqueue_router(std::size_t r) {
-    if (active_mark_[r] == active_epoch_) return;
-    active_mark_[r] = active_epoch_;
-    active_.push_back(static_cast<u32>(r));
+void XpipesNetwork::raise_request(u32 r, std::size_t g) {
+    const std::size_t s = g - std::size_t{r} * n_slots_;
+    const int plane = static_cast<int>(s) / n_ports_;
+    const int port = static_cast<int>(s) % n_ports_;
+    const int proto = plane / vc_count_;
+    const PacketHeader& hdr = pkts_[front(g).tag].hdr;
+    // The topology's next hop, or the local ejection port (LM for
+    // responses, LS for requests) on arrival; ejects use the VC0 channel.
+    const int out = topo_->route(r, hdr.dest_node);
+    std::size_t oi = 0;
+    if (out < 0) {
+        oi = pidx(proto * vc_count_, hdr.is_resp ? lm_port_ : ls_port_);
+    } else {
+        // A Head claims exactly the VC its topology transition assigns
+        // (pure in the inputs, so the packet's body lands on the same
+        // plane).
+        const int vc = plane % vc_count_;
+        const int dvc = vc_count_ > 1 ? topo_->next_vc(r, port, out, vc) : vc;
+        oi = pidx(proto * vc_count_ + dvc, out);
+    }
+    in_[g].req = static_cast<i32>(oi);
+    const u32 bit = slot_bit_[s];
+    req_mask_[(std::size_t{r} * n_slots_ + oi) * mask_words_ + (bit >> 6)] |=
+        u64{1} << (bit & 63);
+    set_live(r, oi);
+}
+
+void XpipesNetwork::push_flit(u32 r, std::size_t g, const Flit& f) {
+    InPort& in = in_[g];
+    u32 at = in.head + in.size;
+    if (at >= cfg_.fifo_depth) at -= cfg_.fifo_depth;
+    buf_[g * cfg_.fifo_depth + at] = f;
+    if (in.size++ == 0 && f.kind == Flit::Kind::Head) raise_request(r, g);
+    if (load_[r].occupancy++ == 0) mark_active(r);
+}
+
+XpipesNetwork::Flit XpipesNetwork::pop_flit(u32 r, std::size_t g) {
+    InPort& in = in_[g];
+    const Flit f = buf_[g * cfg_.fifo_depth + in.head];
+    if (++in.head == cfg_.fifo_depth) in.head = 0;
+    --in.size;
+    if (f.kind == Flit::Kind::Head) {
+        const auto oi = static_cast<std::size_t>(in.req);
+        const std::size_t ob = std::size_t{r} * n_slots_ + oi;
+        const u32 bit = slot_bit_[g - std::size_t{r} * n_slots_];
+        req_mask_[ob * mask_words_ + (bit >> 6)] &= ~(u64{1} << (bit & 63));
+        in.req = -1;
+        if (bound_[ob] < 0 && !requested(ob)) clear_live(r, oi);
+    }
+    if (in.size > 0 && front(g).kind == Flit::Kind::Head) raise_request(r, g);
+    RouterLoad& ld = load_[r];
+    if (--ld.occupancy == 0 && ld.bound_count == 0)
+        active_[r >> 6] &= ~(u64{1} << (r & 63));
+    return f;
 }
 
 void XpipesNetwork::inject(std::deque<Flit>& tx, u16 node, int port, int plane) {
     if (tx.empty()) return;
-    auto& fifo = routers_[node].in[pidx(plane, port)];
-    if (fifo.size() >= cfg_.fifo_depth) return;
-    fifo.push_back(tx.front());
+    const std::size_t g = std::size_t{node} * n_slots_ + pidx(plane, port);
+    if (in_[g].size >= cfg_.fifo_depth) return;
+    push_flit(node, g, tx.front());
     tx.pop_front();
-    ++routers_[node].occupancy;
-    enqueue_router(node);
     any_activity_ = true;
 }
 
-void XpipesNetwork::collect_port_faults(std::size_t r) {
-    Router& rt = routers_[r];
-    for (int p = 0; p < n_planes_; ++p) {
-        for (int i = 0; i < n_ports_; ++i) {
-            auto& q = rt.in[pidx(p, i)];
-            if (q.empty()) continue;
-            PortFault& pf = rt.fault[pidx(p, i)];
-            pf.blocked = false;
-            if (pf.swallowing) {
-                // A drop fault consumed this packet's head; swallow the
-                // remaining flits one per cycle (link rate) until the Tail.
-                Move mv;
-                mv.router = r;
-                mv.plane = p;
-                mv.in_port = i;
-                mv.drop = true;
-                moves_.push_back(mv);
-                pf.blocked = true;
-                continue;
-            }
-            const Flit& f = q.front();
-            if (pf.serial != f.serial) {
-                // Exactly one fault decision per (router, flit), drawn
-                // when the flit reaches the FIFO head.
-                pf.serial = f.serial;
-                const FaultModel::Draw d =
-                    fault_model_.draw(static_cast<u32>(r), f.serial);
-                pf.kind = d.kind;
-                pf.mask = d.mask;
-                pf.stall_left = d.stall;
-                if (d.kind == FaultKind::Stall)
-                    ++stats_.reliability.stall_events;
-            }
-            if (pf.stall_left > 0) {
-                --pf.stall_left;
-                ++stats_.reliability.stall_cycles;
-                pf.blocked = true;
-                continue;
-            }
-            if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
-                Move mv;
-                mv.router = r;
-                mv.plane = p;
-                mv.in_port = i;
-                mv.drop = true;
-                moves_.push_back(mv);
-                pf.blocked = true;
-            }
+void XpipesNetwork::collect_port_faults(u32 r) {
+    const std::size_t base = std::size_t{r} * n_slots_;
+    for (std::size_t g = base; g < base + n_slots_; ++g) {
+        if (in_[g].size == 0) continue;
+        PortFault& pf = fault_[g];
+        pf.blocked = false;
+        Move drop;
+        drop.router = r;
+        drop.src = static_cast<u32>(g);
+        drop.to = Move::To::Drop;
+        if (pf.swallowing) {
+            // A drop fault consumed this packet's head; swallow the
+            // remaining flits one per cycle (link rate) until the Tail.
+            moves_.push_back(drop);
+            pf.blocked = true;
+            continue;
+        }
+        const Flit& f = front(g);
+        const u64 serial = serial_of(f);
+        if (pf.serial != serial) {
+            // Exactly one fault decision per (router, flit), drawn when the
+            // flit reaches the FIFO head.
+            pf.serial = serial;
+            const FaultModel::Draw d = fault_model_.draw(r, serial);
+            pf.kind = d.kind;
+            pf.mask = d.mask;
+            pf.stall_left = d.stall;
+            if (d.kind == FaultKind::Stall) ++stats_.reliability.stall_events;
+        }
+        if (pf.stall_left > 0) {
+            --pf.stall_left;
+            ++stats_.reliability.stall_cycles;
+            pf.blocked = true;
+            continue;
+        }
+        if (pf.kind == FaultKind::Drop && f.kind == Flit::Kind::Head) {
+            moves_.push_back(drop);
+            pf.blocked = true;
         }
     }
 }
 
-void XpipesNetwork::collect_router_moves(std::size_t r) {
-    ++stats_.router_visits;
-    Router& rt = routers_[r];
-    if (fault_on_) collect_port_faults(r);
-    const u32 ni_rx_cap = ocp::kMaxBurstLen + 4;
-    // The switch is allocated per *output channel* — (destination buffer
-    // plane, out port) — not per input plane. With one VC a flit's
-    // destination plane equals its source plane and this is exactly the
-    // original (plane, out) iteration. With dateline VCs the distinction
-    // is load-bearing: a packet bound for downstream VC0 must never hold
-    // the switch against a packet bound for VC1 of the same link, or the
-    // coupling re-creates the ring dependency cycle the datelines break
-    // (docs/topology.md). One binding slot per output channel also makes
-    // each downstream FIFO single-writer-per-cycle by construction, so
-    // the live capacity reads below stay exact.
-    for (int dp = 0; dp < n_planes_; ++dp) {
-        // Protocol plane: requests (0) or responses (1), VC-agnostic.
-        const int proto = dp / vc_count_;
-        const int dvc = dp % vc_count_;
-        for (int out = 0; out < n_ports_; ++out) {
-            // Responses leave through LM, requests through LS; neighbour
-            // links carry both planes. An NI rx is one resource, not one
-            // per VC, so ejects are arbitrated on the VC0 slot and drain
-            // every input VC of their protocol plane.
-            if (out == lm_port_ && proto == 0) continue;
-            if (out == ls_port_ && proto == 1) continue;
-            const bool eject = out == lm_port_ || out == ls_port_;
-            if (eject && dvc != 0) continue;
-            const std::size_t oi = pidx(dp, out);
-
-            // Input slot pidx(plane, port) wormhole-bound to this output
-            // channel, held from Head to Tail.
-            int src = rt.bound_in[oi];
-            if (src < 0) {
-                // Allocate: round-robin over input ports (VC0 before VC1
-                // within a port) with a Head flit routed to this output
-                // channel.
-                for (int k = 0; k < n_ports_ && src < 0; ++k) {
-                    const int i = (rt.rr[oi] + k) % n_ports_;
-                    for (int ivc = 0; ivc < vc_count_; ++ivc) {
-                        const std::size_t si = pidx(proto * vc_count_ + ivc, i);
-                        const auto& q = rt.in[si];
-                        if (q.empty() || q.front().kind != Flit::Kind::Head)
-                            continue;
-                        if (fault_on_ && rt.fault[si].blocked)
-                            continue; // stalled or being dropped
-                        if (route(static_cast<u16>(r), q.front().hdr) != out)
-                            continue;
-                        // A Head claims exactly the VC its topology
-                        // transition assigns (pure in the inputs, so the
-                        // packet's body lands on the same plane).
-                        if (!eject && vc_count_ > 1 &&
-                            topo_->next_vc(static_cast<u32>(r), i, out,
-                                           ivc) != dvc)
-                            continue;
-                        src = static_cast<int>(si);
-                        rt.bound_in[oi] = src;
-                        ++rt.bound_count;
-                        rt.rr[oi] = (i + 1) % n_ports_;
-                        break;
-                    }
-                }
-            }
-            if (src < 0) continue;
-            const auto& q = rt.in[static_cast<std::size_t>(src)];
-            if (q.empty()) continue;
-            if (fault_on_ && rt.fault[static_cast<std::size_t>(src)].blocked)
-                continue; // fault pre-pass withheld this flit this cycle
-
-            // Destination capacities are read live: nothing pops or pushes
-            // a FIFO until the apply phase, so these reads see exactly the
-            // start-of-phase sizes (each input FIFO also has a single
-            // writer per cycle, so committed moves cannot overfill one).
-            Move mv;
-            mv.router = r;
-            mv.plane = src / n_ports_;
-            mv.in_port = src % n_ports_;
-            if (fault_on_ && q.front().kind == Flit::Kind::Payload) {
-                const PortFault& pf = rt.fault[static_cast<std::size_t>(src)];
-                if (pf.kind == FaultKind::Corrupt && pf.serial == q.front().serial)
-                    mv.corrupt_mask = pf.mask;
-            }
-            if (eject) {
-                mv.to_ni = true;
-                mv.ni_is_master = (out == lm_port_);
-                const int ni = mv.ni_is_master ? master_at_node_[r]
-                                               : slave_at_node_[r];
-                if (ni < 0) continue; // routed to a node without an NI: stuck
-                mv.ni_index = ni;
-                const std::size_t rx_size =
-                    mv.ni_is_master
-                        ? masters_[static_cast<std::size_t>(ni)].rx.size()
-                        : slaves_[static_cast<std::size_t>(ni)].rx.size();
-                if (rx_size >= ni_rx_cap) continue;
-            } else {
-                const auto nbr = topo_->link(static_cast<u16>(r), out);
-                if (!nbr) continue; // dead port: routing never selects one
-                mv.dst_router = nbr->node;
-                mv.dst_port = nbr->port;
-                mv.dst_plane = dp;
-                const std::size_t dst_size =
-                    routers_[nbr->node].in[pidx(dp, mv.dst_port)].size();
-                if (dst_size >= cfg_.fifo_depth) continue;
-                // Bubble rule (irregular topologies only): a Head may only
-                // claim a link whose downstream FIFO keeps a free slot
-                // after the move, so a dependency cycle never fills
-                // completely (docs/topology.md — a heuristic, not a
-                // proof). Mesh and torus allocation are untouched —
-                // bubble_ is false there.
-                if (bubble_ && q.front().kind == Flit::Kind::Head &&
-                    dst_size + 2 > cfg_.fifo_depth)
-                    continue;
-            }
-            moves_.push_back(mv);
-            // Advance / release the wormhole binding bookkeeping now:
-            // the move is committed.
-            if (q.front().kind == Flit::Kind::Tail) {
-                rt.bound_in[oi] = -1;
-                --rt.bound_count;
+int XpipesNetwork::grant(u32 r, std::size_t oi) const noexcept {
+    const std::size_t ob = std::size_t{r} * n_slots_ + oi;
+    const u64* mask = &req_mask_[ob * mask_words_];
+    const u32 n_bits = static_cast<u32>(n_ports_ * vc_count_);
+    const u32* slots =
+        &bit_slot_[static_cast<std::size_t>(chans_[oi].proto) * n_bits];
+    // First requesting, unblocked input among bits [lo, hi), or -1.
+    const auto scan = [&](u32 lo, u32 hi) {
+        for (u32 w = lo >> 6; (w << 6) < hi; ++w) {
+            u64 bits = mask[w];
+            if ((w << 6) < lo) bits &= ~u64{0} << (lo & 63);
+            for (; bits != 0; bits &= bits - 1) {
+                const u32 bit = (w << 6) + static_cast<u32>(std::countr_zero(bits));
+                if (bit >= hi) break;
+                const u32 s = slots[bit];
+                if (fault_on_ && fault_[std::size_t{r} * n_slots_ + s].blocked)
+                    continue; // stalled or being dropped
+                return static_cast<int>(s);
             }
         }
+        return -1;
+    };
+    const u32 start = rr_[ob] * static_cast<u32>(vc_count_);
+    const int s = scan(start, n_bits);
+    return s >= 0 ? s : scan(0, start);
+}
+
+void XpipesNetwork::collect_router_moves(u32 r) {
+    ++stats_.router_visits;
+    if (fault_on_) collect_port_faults(r);
+    // Only live output channels (bound or requested) can move a flit; their
+    // bits ascend in (plane, port) order, the order the switch serves them.
+    const u64* live = &live_[std::size_t{r} * live_words_];
+    for (u32 w = 0; w < live_words_; ++w)
+        for (u64 bits = live[w]; bits != 0; bits &= bits - 1)
+            collect_output(r, (std::size_t{w} << 6) +
+                                  static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+void XpipesNetwork::collect_output(u32 r, std::size_t oi) {
+    const u32 ni_rx_cap = ocp::kMaxBurstLen + 4;
+    const std::size_t base = std::size_t{r} * n_slots_;
+    const OutChan& oc = chans_[oi];
+    const std::size_t ob = base + oi;
+    // The switch is allocated per *output channel* — (destination buffer
+    // plane, out port) — not per input plane. With dateline VCs the
+    // distinction is load-bearing: a packet bound for downstream VC0 must
+    // never hold the switch against a packet bound for VC1 of the same
+    // link, or the coupling re-creates the ring dependency cycle the
+    // datelines break (docs/topology.md). One binding slot per output
+    // channel also makes each downstream FIFO single-writer-per-cycle by
+    // construction, so the live capacity reads below stay exact.
+    //
+    // Input slot wormhole-bound to this output channel, held from Head to
+    // Tail; otherwise allocate round-robin among the requesters.
+    int src = bound_[ob];
+    if (src < 0) {
+        src = grant(r, oi);
+        if (src < 0) return;
+        bound_[ob] = src;
+        ++load_[r].bound_count;
+        rr_[ob] = static_cast<u32>((src % n_ports_ + 1) % n_ports_);
+    }
+    const std::size_t g = base + static_cast<std::size_t>(src);
+    if (in_[g].size == 0) return;
+    if (fault_on_ && fault_[g].blocked)
+        return; // fault pre-pass withheld this flit this cycle
+    const Flit& f = front(g);
+
+    // Destination capacities are read live: nothing pops or pushes a FIFO
+    // until the apply phase, so these reads see exactly the start-of-phase
+    // sizes (each input FIFO also has a single writer per cycle, so
+    // committed moves cannot overfill one).
+    Move mv;
+    mv.router = r;
+    mv.src = static_cast<u32>(g);
+    if (fault_on_ && f.kind == Flit::Kind::Payload) {
+        const PortFault& pf = fault_[g];
+        if (pf.kind == FaultKind::Corrupt && pf.serial == f.tag)
+            mv.corrupt_mask = pf.mask;
+    }
+    if (oc.eject) {
+        const bool master = oc.out == lm_port_;
+        const int ni = master ? master_at_node_[r] : slave_at_node_[r];
+        if (ni < 0) return; // routed to a node without an NI: stuck
+        mv.to = master ? Move::To::Master : Move::To::Slave;
+        mv.dst = static_cast<u32>(ni);
+        const std::size_t rx_size =
+            master ? masters_[static_cast<std::size_t>(ni)].rx.size()
+                   : slaves_[static_cast<std::size_t>(ni)].rx.size();
+        if (rx_size >= ni_rx_cap) return;
+    } else {
+        const Hop& hop =
+            hops_[std::size_t{r} * static_cast<std::size_t>(n_ports_) +
+                  static_cast<std::size_t>(oc.out)];
+        if (hop.node == kNoLink) return;
+        mv.to = Move::To::Router;
+        mv.dst_router = hop.node;
+        mv.dst = hop.slot + static_cast<u32>(oc.dst_plane * n_ports_);
+        const u32 dst_size = in_[mv.dst].size;
+        if (dst_size >= cfg_.fifo_depth) return;
+        // Bubble rule (irregular topologies only): a Head may only claim a
+        // link whose downstream FIFO keeps a free slot after the move, so a
+        // dependency cycle never fills completely (docs/topology.md — a
+        // heuristic, not a proof). Mesh and torus allocation are untouched
+        // — bubble_ is false there.
+        if (bubble_ && f.kind == Flit::Kind::Head &&
+            dst_size + 2 > cfg_.fifo_depth)
+            return;
+    }
+    moves_.push_back(mv);
+    // Advance / release the wormhole binding bookkeeping now: the move is
+    // committed.
+    if (f.kind == Flit::Kind::Tail) {
+        bound_[ob] = -1;
+        --load_[r].bound_count;
+        if (!requested(ob)) clear_live(r, oi);
     }
 }
 
@@ -806,7 +901,7 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
             const bool awaiting = (ni.st == MasterNi::St::AwaitResp ||
                                    ni.st == MasterNi::St::AwaitAck) &&
                                   !ni.err && !ni.synth_err && !ni.resp_taken;
-            const bool want = awaiting && flit.hdr.seq == ni.seq;
+            const bool want = awaiting && pkts_[flit.tag].hdr.seq == ni.seq;
             ni.rx_discard = !want;
             if (!want) ++stats_.reliability.stale_discarded;
             ni.rx_stage.clear();
@@ -818,34 +913,32 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
             ni.rx_stage.push_back(RxBeat{flit.payload, flit.err});
             ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
             break;
-        case Flit::Kind::Tail: {
+        case Flit::Kind::Tail:
             if (ni.rx_discard) {
                 ni.rx_discard = false;
-                break;
-            }
-            if (ni.rx_csum != flit.payload) {
+            } else if (ni.rx_csum != flit.payload) {
                 // Read data corrupted in flight: reject the packet and
                 // pull the retry deadline in — the replay starts on the
                 // next NI evaluation instead of waiting out the timeout.
                 ++stats_.reliability.checksum_fails;
                 ni.rx_stage.clear();
                 ni.deadline = now_;
-                break;
-            }
-            ++stats_.resp_packets_delivered;
-            ni.resp_taken = true;
-            if (ocp::is_write(ni.cmd)) {
-                ni.ack_ok = true; // Head+Tail ack packet
             } else {
-                for (const RxBeat& b : ni.rx_stage) ni.rx.push_back(b);
+                ++stats_.resp_packets_delivered;
+                ni.resp_taken = true;
+                if (ocp::is_write(ni.cmd)) {
+                    ni.ack_ok = true; // Head+Tail ack packet
+                } else {
+                    for (const RxBeat& b : ni.rx_stage) ni.rx.push_back(b);
+                }
+                ni.rx_stage.clear();
+                ni.cur_err = flit.err;
+                if (flit.err) ++stats_.resp_err_packets;
+                else if (cfg_.collect_latency)
+                    record_delivery(flit);
             }
-            ni.rx_stage.clear();
-            ni.cur_err = flit.err;
-            if (flit.err) ++stats_.resp_err_packets;
-            else if (cfg_.collect_latency)
-                record_delivery(flit);
+            free_packet(static_cast<u32>(flit.tag));
             break;
-        }
     }
 }
 
@@ -867,6 +960,7 @@ void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
                 // replays it.
                 ++stats_.reliability.checksum_fails;
                 ni.rx.resize(ni.rx_pkt_start);
+                free_packet(static_cast<u32>(flit.tag));
                 break;
             }
             ni.rx.push_back(flit);
@@ -882,34 +976,36 @@ void XpipesNetwork::eval_routers() {
     ++stats_.router_phase_cycles;
     moves_.clear();
 
-    // Collect phase: examine routers (worklist or full scan), committing
-    // moves against the untouched FIFO state. Per-router processing only
-    // reads other routers' FIFO sizes, so worklist order is irrelevant —
-    // behaviour is bit-identical to the index-ordered full scan.
+    // Collect phase: examine routers in index order (the active set or a
+    // full scan), committing moves against the untouched FIFO state. Both
+    // modes visit the routers holding flits or bindings in the same order,
+    // so they apply the same moves in the same order.
     if (cfg_.router_gating) {
-        for (const u32 r : active_) collect_router_moves(r);
+        for (std::size_t w = 0; w < active_.size(); ++w) {
+            for (u64 bits = active_[w]; bits != 0; bits &= bits - 1)
+                collect_router_moves(static_cast<u32>(
+                    (w << 6) + static_cast<std::size_t>(std::countr_zero(bits))));
+        }
     } else {
-        for (std::size_t r = 0; r < routers_.size(); ++r)
-            collect_router_moves(r);
+        for (u32 r = 0; r < node_count(); ++r) collect_router_moves(r);
     }
 
-    // Apply all moves.
+    // Apply all moves. A router leaves the active set when its last flit
+    // leaves and it holds no binding; a flit arriving puts it back.
     for (const Move& mv : moves_) {
-        Router& src_rt = routers_[mv.router];
-        auto& q = src_rt.in[pidx(mv.plane, mv.in_port)];
-        Flit flit = q.front();
-        q.pop_front();
-        --src_rt.occupancy;
+        Flit flit = pop_flit(mv.router, mv.src);
         any_activity_ = true;
-        if (mv.drop) {
+        if (mv.to == Move::To::Drop) {
             // Fault: the flit vanishes. Head opens swallow mode on the
             // port (the rest of the packet follows it into the void),
             // Tail closes it.
             --flits_active_;
-            PortFault& pf = src_rt.fault[pidx(mv.plane, mv.in_port)];
+            PortFault& pf = fault_[mv.src];
             pf.swallowing = (flit.kind != Flit::Kind::Tail);
             if (flit.kind == Flit::Kind::Head)
                 ++stats_.reliability.packets_dropped;
+            if (flit.kind == Flit::Kind::Tail)
+                free_packet(static_cast<u32>(flit.tag));
             continue;
         }
         ++stats_.flits_routed;
@@ -917,71 +1013,50 @@ void XpipesNetwork::eval_routers() {
             flit.payload ^= mv.corrupt_mask;
             ++stats_.reliability.flits_corrupted;
         }
-        if (mv.to_ni) {
-            --flits_active_;
-            if (mv.ni_is_master) {
-                MasterNi& ni = masters_[static_cast<std::size_t>(mv.ni_index)];
-                if (fault_on_) {
-                    deliver_to_master(ni, flit);
-                } else if (flit.kind == Flit::Kind::Payload) {
-                    // Open-loop NIs absorb response data: the transaction
-                    // completed at the source when the fabric accepted it,
-                    // so rx stays empty and ejection never backpressures.
-                    if (!open_) ni.rx.push_back(RxBeat{flit.payload, flit.err});
-                } else if (flit.kind == Flit::Kind::Tail) {
-                    ++stats_.resp_packets_delivered;
-                    if (open_) {
-                        if (ni.outstanding > 0) --ni.outstanding;
-                        stats_.last_delivery = now_;
-                    }
-                    // Err-carrying responses are counted, not sampled: an
-                    // error turnaround is not a service time and would
-                    // skew p50/p99 (docs/traffic.md).
-                    if (flit.err) ++stats_.resp_err_packets;
-                    else if (cfg_.collect_latency)
-                        record_delivery(flit);
+        if (mv.to == Move::To::Router) {
+            push_flit(mv.dst_router, mv.dst, flit);
+            continue;
+        }
+        --flits_active_;
+        if (mv.to == Move::To::Master) {
+            MasterNi& ni = masters_[mv.dst];
+            if (fault_on_) {
+                deliver_to_master(ni, flit);
+            } else if (flit.kind == Flit::Kind::Payload) {
+                // Open-loop NIs absorb response data: the transaction
+                // completed at the source when the fabric accepted it, so
+                // rx stays empty and ejection never backpressures.
+                if (!open_) ni.rx.push_back(RxBeat{flit.payload, flit.err});
+            } else if (flit.kind == Flit::Kind::Tail) {
+                ++stats_.resp_packets_delivered;
+                if (open_) {
+                    if (ni.outstanding > 0) --ni.outstanding;
+                    stats_.last_delivery = now_;
                 }
-            } else {
-                SlaveNi& ni = slaves_[static_cast<std::size_t>(mv.ni_index)];
-                if (fault_on_) {
-                    deliver_to_slave(ni, flit);
-                } else {
-                    ni.rx.push_back(flit);
-                    if (flit.kind == Flit::Kind::Tail) {
-                        ++ni.tails_in_rx;
-                        ++stats_.req_packets_delivered;
-                        if (open_) stats_.last_delivery = now_;
-                        if (cfg_.collect_latency)
-                            record_delivery(flit);
-                    }
-                }
+                // Err-carrying responses are counted, not sampled: an error
+                // turnaround is not a service time and would skew p50/p99
+                // (docs/traffic.md).
+                if (flit.err) ++stats_.resp_err_packets;
+                else if (cfg_.collect_latency)
+                    record_delivery(flit);
+                free_packet(static_cast<u32>(flit.tag));
             }
         } else {
-            routers_[mv.dst_router]
-                .in[pidx(mv.dst_plane, mv.dst_port)]
-                .push_back(flit);
-            ++routers_[mv.dst_router].occupancy;
+            SlaveNi& ni = slaves_[mv.dst];
+            if (fault_on_) {
+                deliver_to_slave(ni, flit);
+            } else {
+                ni.rx.push_back(flit);
+                if (flit.kind == Flit::Kind::Tail) {
+                    ++ni.tails_in_rx;
+                    ++stats_.req_packets_delivered;
+                    if (open_) stats_.last_delivery = now_;
+                    if (cfg_.collect_latency)
+                        record_delivery(flit);
+                }
+            }
         }
     }
-
-    // Rebuild the worklist for the next phase: survivors that still hold
-    // flits or a binding (covers moves blocked on back-pressure — their
-    // flits stay put, so stalled wormholes remain live) plus every move
-    // destination. Epoch stamps deduplicate; inject() appends under the
-    // same epoch afterwards.
-    ++active_epoch_;
-    scratch_.clear();
-    const auto keep = [this](u32 r) {
-        const Router& rt = routers_[r];
-        if (rt.occupancy == 0 && rt.bound_count == 0) return;
-        if (active_mark_[r] == active_epoch_) return;
-        active_mark_[r] = active_epoch_;
-        scratch_.push_back(r);
-    };
-    for (const u32 r : active_) keep(r);
-    for (const Move& mv : moves_)
-        if (!mv.to_ni && !mv.drop) keep(static_cast<u32>(mv.dst_router));
-    active_.swap(scratch_);
 }
 
 void XpipesNetwork::eval() {

@@ -3,13 +3,16 @@
 // Behavioural cycle-true model of a wormhole-switched fabric:
 //
 //   * network interfaces (NIs) packetize OCP transactions into flit streams
-//     (Head carrying {cmd, addr, burst, source}, one Payload flit per data
-//     beat, Tail) and reassemble them at the far end;
-//   * routers are input-buffered with per-output round-robin wormhole
-//     allocation and one flit per link per cycle; the routing decision and
-//     the link adjacency come from an ic::Topology (docs/topology.md) — the
-//     default 2D mesh routes XY exactly as before the abstraction, and a
-//     torus or table-routed graph drops in without touching router code;
+//     (Head, one Payload flit per data beat, Tail) and reassemble them at
+//     the far end; Head and Tail reference the packet's header {cmd, addr,
+//     burst, source, destination} and stamps in a packet table, so a flit
+//     is 16 bytes;
+//   * routers are input-buffered (fixed-capacity ring FIFOs) with
+//     per-output round-robin wormhole allocation and one flit per link per
+//     cycle; the routing decision and the link adjacency come from an
+//     ic::Topology (docs/topology.md) — the default 2D mesh routes XY
+//     exactly as before the abstraction, and a torus or table-routed graph
+//     drops in without touching router code;
 //   * requests and responses travel on two separate buffer planes (virtual
 //     networks), which removes request/response protocol deadlock; on
 //     topologies that ask for virtual channels (the torus's dateline VCs)
@@ -24,10 +27,16 @@
 // their own nodes.
 //
 // The router phase is activity-driven: only routers holding flits (or a
-// wormhole binding) are visited each cycle, so per-cycle cost scales with
-// traffic instead of mesh size. docs/xpipes.md documents the mesh
-// microarchitecture and the activity contract; bit-identity against the
-// full-scan reference (router_gating = false) is pinned by
+// wormhole binding) are visited each cycle, in router-index order, so
+// per-cycle cost scales with traffic instead of mesh size and gated and
+// full-scan runs apply their moves — and record latency samples — in the
+// same order. Each Head is routed once, when it reaches the front of its
+// input FIFO, into a per-input request register; each output channel
+// keeps a bitmask of the inputs requesting it and grants round-robin over
+// that mask in the order a rescan of the inputs would visit them.
+// docs/xpipes.md documents the mesh microarchitecture and the activity
+// contract; bit-identity against the full-scan reference (router_gating =
+// false) and against router goldens on six fabrics is pinned by
 // tests/xpipes_gating_test.cpp.
 //
 // Compared to the AHB model this fabric has higher zero-load latency but
@@ -54,9 +63,9 @@ struct XpipesConfig {
     u32 width = 3;
     u32 height = 3;
     u32 fifo_depth = 4; ///< flits per router input FIFO
-    /// Activity-driven router phase (the default): eval only routers on the
-    /// active worklist. false = full scan over every router × plane × port,
-    /// kept as the bit-identical reference for tests and benches.
+    /// Activity-driven router phase (the default): eval only routers in the
+    /// active set. false = full scan over every router, kept as the
+    /// bit-identical reference for tests and benches.
     bool router_gating = true;
     /// Collect per-packet latency samples into XpipesStats::packet_latency
     /// (docs/traffic.md). Off by default: the stamps are always carried, but
@@ -98,10 +107,10 @@ struct XpipesStats {
     /// a master held a command the NI could not yet take).
     u64 req_packets_delivered = 0;
     u64 resp_packets_delivered = 0;
-    /// Per-packet latency in cycles, head creation at the source NI (the
-    /// inject stamp carried in the head flit) to Tail delivery at the
-    /// destination NI; both planes sampled. Populated only when
-    /// XpipesConfig::collect_latency.
+    /// Per-packet latency in cycles, packet creation at the source NI to
+    /// Tail delivery at the destination NI; both planes sampled, in
+    /// router-index apply order (the same sequence in both router_gating
+    /// modes). Populated only when XpipesConfig::collect_latency.
     stats::LatencyStats packet_latency;
     /// Response packets delivered whose Tail carried a slave Resp::Err.
     /// These are counted here and *excluded* from packet_latency (an Err
@@ -203,7 +212,8 @@ private:
     /// indices — and all behaviour — are bit-identical to pre-VC code.
     static constexpr int kNumPlanes = 2; ///< 0 = requests, 1 = responses
 
-    struct FlitHeader {
+    /// Packet header, kept once per packet in the packet table (pkts_).
+    struct PacketHeader {
         ocp::Cmd cmd = ocp::Cmd::Idle;
         u32 addr = 0;
         u16 burst = 1;
@@ -214,35 +224,46 @@ private:
         /// stable across retries, echoed by the response/ack so master NIs
         /// can filter stale responses and slave NIs can dedupe replays.
         u16 seq = 0;
-        /// Cycle the packet entered the network proper (left the NI pending
-        /// queue for the tx queue). Also copied onto the packet's Tail flit
-        /// so the sample is taken when delivery completes.
-        Cycle inject = 0;
-        /// Cycle the packet was created at the source NI (the OCP command
-        /// was accepted). In closed-loop mode creation and injection
-        /// coincide, so created == inject everywhere; in open-loop mode the
-        /// difference is the source-queueing latency (docs/traffic.md).
-        Cycle created = 0;
     };
 
+    /// A packet on its way through the fabric: header, stamps and (fault
+    /// mode) the serials of its Head and Tail flits. Allocated when the NI
+    /// builds the packet, referenced by handle from its Head and Tail, and
+    /// released when its Tail is consumed (delivered, dropped, rejected).
+    /// Each replay of a packet gets its own entry.
+    struct Packet {
+        PacketHeader hdr;
+        /// Cycle the packet was created at the source NI (the OCP command
+        /// was accepted). In closed-loop mode creation and injection
+        /// coincide; in open-loop mode the difference is the
+        /// source-queueing latency (docs/traffic.md).
+        Cycle created = 0;
+        /// Cycle the packet entered the network proper (left the NI
+        /// pending queue for the tx queue).
+        Cycle inject = 0;
+        u64 head_serial = 0; ///< fault mode: the Head flit's serial
+        u64 tail_serial = 0; ///< fault mode: the Tail flit's serial
+    };
+
+    /// One flit: 16 bytes, so a 4-deep FIFO fills one cache line.
     struct Flit {
         enum class Kind : u8 { Head, Payload, Tail };
         Kind kind = Kind::Head;
         /// Response payload beat failed at the slave (Resp::Err). Carried
         /// per beat so a mid-burst error survives the mesh crossing and is
-        /// replayed as Resp::Err at the requesting master NI.
+        /// replayed as Resp::Err at the requesting master NI. On a Tail:
+        /// the response carried at least one Err beat.
         bool err = false;
+        /// Payload: the data beat. Tail, fault mode: the packet checksum.
         u32 payload = 0;
-        /// Fault-mode flit identity: fault draws are a pure function of
-        /// (seed, router, serial), so fault sites are schedule-independent.
-        /// Replayed packets get fresh serials (independent draws per
-        /// attempt). Always 0 when faults are disabled.
-        u64 serial = 0;
-        /// Meaningful on Head flits; Tail flits carry hdr.inject only —
-        /// plus, in fault mode, the packet checksum in `payload` and the
-        /// response's Resp::Err summary in `err`.
-        FlitHeader hdr;
+        /// Head and Tail: the packet-table handle. Payload: the flit's
+        /// fault serial (fault mode only, 0 otherwise) — fault draws are a
+        /// pure function of (seed, router, serial), so fault sites are
+        /// schedule-independent; replays get fresh serials. Head and Tail
+        /// serials live in the Packet. See serial_of().
+        u64 tag = 0;
     };
+    static_assert(sizeof(Flit) <= 16);
 
     /// Per-input-port fault state (fault mode only). `serial` guards the
     /// draw: exactly one fault decision per (router, flit), re-evaluated
@@ -257,27 +278,40 @@ private:
         bool blocked = false;            ///< port excluded from moves this cycle
     };
 
-    /// Per-router state, sized n_planes_ * n_ports_ at construction (the
-    /// port budget is a topology property now, not a compile-time array
-    /// bound); index with pidx(plane, port).
-    struct Router {
-        std::vector<std::deque<Flit>> in;
-        /// Wormhole binding per *output channel* pidx(dst_plane, out): the
-        /// input slot pidx(plane, port) whose packet owns the channel from
-        /// Head to Tail, -1 when free. Keyed by the destination plane —
-        /// not the input's — so with dateline VCs a packet bound for
-        /// downstream VC0 never holds the switch against one bound for
-        /// VC1 of the same link (that coupling would re-create the ring
-        /// dependency cycle the datelines break), and each downstream
-        /// FIFO has a single writer per cycle by construction.
-        std::vector<int> bound_in;
-        std::vector<int> rr; ///< round-robin pointer per output channel
-        /// Activity bookkeeping for the worklist: total flits across the
-        /// input FIFOs and number of held wormhole bindings. The router is
-        /// active — and must be on the worklist — iff either is nonzero.
-        u32 occupancy = 0;
-        u32 bound_count = 0;
-        std::vector<PortFault> fault;
+    /// One router input FIFO: a ring of fifo_depth slots in buf_, plus the
+    /// request register of the Head at its front.
+    struct InPort {
+        u32 head = 0; ///< ring index of the front flit
+        u32 size = 0;
+        /// Output channel pidx(dst_plane, out) the front Head requests, or
+        /// -1 when the front is not a Head (or the FIFO is empty). Set once
+        /// per router when a Head reaches the front, cleared when it leaves.
+        i32 req = -1;
+    };
+
+    /// Per-router activity bookkeeping: the router is active — and its bit
+    /// set in active_ — iff either count is nonzero.
+    struct RouterLoad {
+        u32 occupancy = 0;   ///< flits across the input FIFOs
+        u32 bound_count = 0; ///< held wormhole bindings
+    };
+
+    /// An output channel (destination plane, port). Requests only ever
+    /// name the channels allocation serves: LS on the request plane, LM on
+    /// the response plane (VC0 only), and neighbour links on every plane.
+    struct OutChan {
+        int out = 0;
+        int dst_plane = 0;
+        int proto = 0;    ///< protocol plane of the inputs it serves
+        bool eject = false;
+    };
+
+    static constexpr u32 kNoLink = ~u32{0};
+    /// Link leaving a router port: the neighbour router and the global
+    /// index of its arrival FIFO on plane 0 (add plane * n_ports_).
+    struct Hop {
+        u32 node = kNoLink;
+        u32 slot = 0;
     };
 
     /// One response beat buffered at the master NI, with its error flag.
@@ -298,8 +332,7 @@ private:
         u16 beats = 0;     ///< accepted write beats
         u16 resp_sent = 0; ///< response beats forwarded to the master
         bool err = false;  ///< decode failure: synthesize ERR beats
-        Cycle inject = 0;  ///< injection stamp of the packet in flight
-        Cycle created = 0; ///< creation stamp of the packet in flight
+        u32 pkt = 0;       ///< packet-table handle of the packet being built
         std::deque<Flit> tx;   ///< flits awaiting injection (plane 0)
         std::deque<RxBeat> rx; ///< response beats received
 
@@ -319,6 +352,7 @@ private:
         // --- fault-mode recovery state (docs/faults.md) ---
         std::vector<Flit> pkt_copy; ///< retained request for replay; empty
                                     ///< once the transaction resolved
+        Packet retained;      ///< header and stamps of the retained request
         u16 seq = 0;          ///< current transaction's sequence number
         u32 attempts = 0;     ///< replays issued for this transaction
         u32 tx_csum = 0;      ///< running checksum of the request packet
@@ -341,12 +375,13 @@ private:
         std::deque<Flit> rx; ///< incoming request flits (bounded)
         u16 tails_in_rx = 0; ///< complete packets buffered (Tail count)
         enum class St : u8 { Idle, DriveReq, AwaitResp } st = St::Idle;
-        FlitHeader hdr;
+        PacketHeader hdr; ///< request being served
         std::vector<u32> wdata;
         u16 beats_driven = 0;
         u16 beats_resp = 0;
         bool pending = false;
         bool resp_err = false; ///< response packet carries >= 1 Err beat
+        u32 resp_pkt = 0;      ///< packet-table handle of the response
         std::deque<Flit> tx; ///< response flits awaiting injection (plane 1)
 
         // --- fault-mode state (docs/faults.md) ---
@@ -359,53 +394,91 @@ private:
     };
 
     /// A committed flit transfer, collected against pre-move FIFO sizes and
-    /// applied after all active routers were examined (two-phase, so the
-    /// visit order of the worklist cannot influence behaviour).
+    /// applied after all active routers were examined (two-phase, so a
+    /// router's moves never see another router's moves of the same cycle).
     struct Move {
-        std::size_t router = 0;
-        int plane = 0;
-        int in_port = 0;
-        // Destination: either a neighbour router FIFO or a local NI.
-        bool to_ni = false;
-        std::size_t dst_router = 0;
-        int dst_port = 0;
-        /// Destination buffer plane. Equal to `plane` except on topology
-        /// VC transitions (torus dateline crossings), where the flit moves
-        /// from a VC0 FIFO into the far side's VC1 FIFO.
-        int dst_plane = 0;
-        int ni_index = 0;
-        bool ni_is_master = false;
-        /// Fault mode: discard the source flit instead of forwarding it
-        /// (drop faults / packet swallowing). Emitted as a Move so FIFOs
-        /// are still only mutated in the apply phase.
-        bool drop = false;
+        enum class To : u8 {
+            Router, ///< neighbour FIFO `dst` of router `dst_router`
+            Master, ///< master NI `dst`
+            Slave,  ///< slave NI `dst`
+            /// Fault mode: discard the source flit instead of forwarding it
+            /// (drop faults / packet swallowing). Emitted as a Move so
+            /// FIFOs are still only mutated in the apply phase.
+            Drop,
+        };
+        u32 router = 0; ///< source router
+        u32 src = 0;    ///< global index of the source input FIFO
+        u32 dst = 0;    ///< global FIFO index or NI index, per `to`
+        u32 dst_router = 0;
         /// Fault mode: XOR the payload word with this mask on traversal.
         u32 corrupt_mask = 0;
+        To to = To::Router;
     };
 
-    /// Tail flit carrying its packet's creation and injection stamps
-    /// (latency sampling at delivery).
-    [[nodiscard]] static Flit make_tail(Cycle created, Cycle inject) noexcept {
-        Flit f;
-        f.kind = Flit::Kind::Tail;
-        f.hdr.created = created;
-        f.hdr.inject = inject;
-        return f;
-    }
-
-    /// Flat index into a Router's per-(plane, port) vectors.
+    /// Index of (plane, port) within one router's input FIFOs — and of
+    /// the output channel (dst_plane, out) among its outputs.
     [[nodiscard]] std::size_t pidx(int plane, int port) const noexcept {
         return static_cast<std::size_t>(plane) *
                    static_cast<std::size_t>(n_ports_) +
                static_cast<std::size_t>(port);
     }
 
-    /// Output port for `hdr` at `node`: the topology's next hop, or the
-    /// local ejection port (LM for responses, LS for requests) on arrival.
-    [[nodiscard]] int route(u16 node, const FlitHeader& hdr) const noexcept;
+    // --- packet table ---
+    [[nodiscard]] u32 new_packet(const Packet& p);
+    void free_packet(u32 handle) { free_pkts_.push_back(handle); }
+    [[nodiscard]] static Flit make_flit(Flit::Kind kind, u64 tag) noexcept {
+        Flit f;
+        f.kind = kind;
+        f.tag = tag;
+        return f;
+    }
+    /// Fault serial of `f` (fault mode only).
+    [[nodiscard]] u64 serial_of(const Flit& f) const noexcept {
+        switch (f.kind) {
+            case Flit::Kind::Head: return pkts_[f.tag].head_serial;
+            case Flit::Kind::Tail: return pkts_[f.tag].tail_serial;
+            case Flit::Kind::Payload: break;
+        }
+        return f.tag;
+    }
+
+    // --- router input FIFOs (global index g = router * n_slots_ + pidx) ---
+    [[nodiscard]] const Flit& front(std::size_t g) const noexcept {
+        return buf_[g * cfg_.fifo_depth + in_[g].head];
+    }
+    /// Appends `f` to FIFO `g` of router `r`; a Head landing at the front
+    /// raises its request.
+    void push_flit(u32 r, std::size_t g, const Flit& f);
+    /// Removes the front flit of FIFO `g` of router `r`, moving the request
+    /// register to the next Head when one surfaces.
+    Flit pop_flit(u32 r, std::size_t g);
+    /// Routes the Head at the front of FIFO `g` and sets its bit in the
+    /// requested output channel's mask.
+    void raise_request(u32 r, std::size_t g);
+    /// Grants output channel `oc` of router `r`: the first requesting input
+    /// slot round-robin from rr, skipping fault-blocked ports; -1 if none.
+    [[nodiscard]] int grant(u32 r, std::size_t oi) const noexcept;
+    /// True while any input requests output channel `ob` (global index).
+    [[nodiscard]] bool requested(std::size_t ob) const noexcept {
+        const u64* mask = &req_mask_[ob * mask_words_];
+        for (u32 w = 0; w < mask_words_; ++w)
+            if (mask[w] != 0) return true;
+        return false;
+    }
+    void set_live(u32 r, std::size_t oi) {
+        live_[std::size_t{r} * live_words_ + (oi >> 6)] |= u64{1} << (oi & 63);
+    }
+    void clear_live(u32 r, std::size_t oi) {
+        live_[std::size_t{r} * live_words_ + (oi >> 6)] &=
+            ~(u64{1} << (oi & 63));
+    }
+    void mark_active(u32 r) { active_[r >> 6] |= u64{1} << (r & 63); }
 
     void eval_master_ni(MasterNi& ni);
     void eval_slave_ni(SlaveNi& ni);
+    /// Response-plane packet answering the request `ni` serves, created
+    /// now (responses never queue at a source: created == inject).
+    [[nodiscard]] Packet response_packet(const SlaveNi& ni) const;
     // --- open-loop source helpers (only called when open_) ---
     /// Accepts one OCP command beat into the NI's pending queue at the
     /// offered rate (or stalls the source when the queue is full).
@@ -420,16 +493,17 @@ private:
     /// last-delivery stamp in open-loop mode.
     void record_delivery(const Flit& tail);
     void eval_routers();
-    void collect_router_moves(std::size_t r);
+    void collect_router_moves(u32 r);
+    /// Allocates (if unbound) and tries to move one flit through output
+    /// channel `oi` of router `r`.
+    void collect_output(u32 r, std::size_t oi);
     void inject(std::deque<Flit>& tx, u16 node, int port, int plane);
-    /// Adds `r` to the active worklist unless already stamped this epoch.
-    void enqueue_router(std::size_t r);
 
     // --- fault-mode helpers (no-ops / never called when fault_on_ is
     // false; docs/faults.md documents the protocol) ---
     /// Per-port fault pre-pass: draws fault decisions for FIFO-head flits,
     /// emits drop moves, counts down stalls, and marks blocked ports.
-    void collect_port_faults(std::size_t r);
+    void collect_port_faults(u32 r);
     /// Stale-filtering + checksum-validating response reassembly at a
     /// master NI (apply-phase flit delivery).
     void deliver_to_master(MasterNi& ni, const Flit& flit);
@@ -478,7 +552,9 @@ private:
     /// quiet_for() at 0 until the backlog drains. Always 0 in closed mode.
     u32 open_backlog_ = 0;
     AddressMap map_;
-    std::vector<Router> routers_;
+    // --- packet table ---
+    std::vector<Packet> pkts_;
+    std::vector<u32> free_pkts_; ///< released handles, reused first
     std::vector<MasterNi> masters_;
     std::vector<SlaveNi> slaves_;
     std::vector<int> master_at_node_; ///< node -> master index or -1
@@ -493,14 +569,40 @@ private:
     /// the router phase is skipped when zero.
     u32 flits_active_ = 0;
 
-    // --- active-router worklist (see docs/xpipes.md) ---
-    /// Routers to visit in the next router phase. Invariant: every router
-    /// with occupancy > 0 or bound_count > 0 is on the list (it may also
-    /// hold just-drained routers until the next rebuild).
-    std::vector<u32> active_;
-    std::vector<u32> scratch_;      ///< rebuild target, swapped with active_
-    std::vector<u64> active_mark_;  ///< per-router epoch stamp (dedup)
-    u64 active_epoch_ = 1;
+    // --- router state: flat arrays over (router, plane, port) ---
+    /// Input FIFOs (and output channels) per router: n_planes_ * n_ports_.
+    u32 n_slots_ = 0;
+    std::vector<Flit> buf_;   ///< ring storage, fifo_depth flits per FIFO
+    std::vector<InPort> in_;  ///< per input FIFO
+    /// Wormhole binding per output channel: the input slot pidx(plane,
+    /// port) whose packet owns the channel from Head to Tail, -1 when free.
+    /// Keyed by the destination plane — not the input's — so with dateline
+    /// VCs a packet bound for downstream VC0 never holds the switch against
+    /// one bound for VC1 of the same link (that coupling would re-create
+    /// the ring dependency cycle the datelines break), and each downstream
+    /// FIFO has a single writer per cycle by construction.
+    std::vector<i32> bound_;
+    std::vector<u32> rr_; ///< round-robin port pointer per output channel
+    /// Request bitmask per output channel, mask_words_ words each: bit
+    /// port * vc_count_ + vc is set while that input's front Head requests
+    /// the channel — the order round-robin arbitration walks.
+    std::vector<u64> req_mask_;
+    u32 mask_words_ = 1;
+    std::vector<u32> slot_bit_;  ///< input slot -> request bit
+    std::vector<u32> bit_slot_;  ///< (protocol plane, request bit) -> slot
+    /// Per output channel index; only channels allocation serves go live.
+    std::vector<OutChan> chans_;
+    /// Live output channels per router, live_words_ words each: bit oi set
+    /// iff channel oi is bound or requested. The router visit walks these
+    /// bits in ascending (plane, port) order — the switch's order.
+    std::vector<u64> live_;
+    u32 live_words_ = 1;
+    std::vector<Hop> hops_;      ///< per (router, port), built at construction
+    std::vector<RouterLoad> load_;
+    std::vector<PortFault> fault_; ///< per input FIFO, fault mode only
+    /// Active set: bit r set iff router r holds flits or a binding. The
+    /// gated router phase walks it in index order — the full scan's order.
+    std::vector<u64> active_;
     std::vector<Move> moves_; ///< reused per cycle (allocation-free steady state)
 };
 

@@ -329,8 +329,10 @@ void append_string(std::string& out, const std::string& s) {
     out.push_back('"');
 }
 
-/// printf-style append for the numeric/bool fragments (bounded by
-/// construction; strings go through append_string).
+/// printf-style append for the numeric/bool fragments (strings go through
+/// append_string). Formats on the stack when the text fits and formats
+/// again straight into `out` when it does not (a %.6f of a huge double
+/// runs to hundreds of digits), so no row is ever truncated.
 void append(std::string& out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -338,9 +340,25 @@ void append(std::string& out, const char* fmt, ...) {
     char buf[256];
     va_list ap;
     va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof buf, fmt, ap);
+    va_list again;
+    va_copy(again, ap);
+    const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
     va_end(ap);
-    out += buf;
+    if (n < 0) {
+        va_end(again);
+        throw std::runtime_error{"sweep report: formatting failed"};
+    }
+    const auto len = static_cast<std::size_t>(n);
+    if (len < sizeof buf) {
+        va_end(again);
+        out.append(buf, len);
+        return;
+    }
+    const std::size_t at = out.size();
+    out.resize(at + len + 1); // vsnprintf writes the terminator too
+    std::vsnprintf(&out[at], len + 1, fmt, again);
+    va_end(again);
+    out.resize(at + len);
 }
 
 /// Emits the report piecewise through `flush(buffer)` — once for the

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
 #include "test_util.hpp"
 #include "tg/translator.hpp"
@@ -366,6 +367,35 @@ TEST(JsonReport, GoldenFormat) {
               "\"max_cycles\": 1000, \"tier\": \"funnel\", \"seed\": 42, "
               "\"n_candidates\": 2, \"funnel_top\": 8, "
               "\"shard\": {\"index\": 1, \"count\": 3}}");
+}
+
+TEST(JsonReport, HugeValuesRoundTripUntruncated) {
+    // A %.6f of 1e300 is over 300 characters: far past the formatter's
+    // stack buffer. The row must still serialise whole and parse back.
+    SweepResult r;
+    r.name = "huge";
+    r.fabric = "xpipes 4x4 fifo4";
+    r.completed = true;
+    r.checks_ok = true;
+    r.cycles = 10;
+    r.wall_seconds = 1e300;
+    r.has_latency = true;
+    r.offered_rate = 1e300;
+    r.accepted_rate = 0.25;
+    r.lat_mean = 1e300;
+    SweepMeta meta;
+    meta.app = "huge";
+    meta.n_candidates = 1;
+    const std::string text = json_report({r}, meta);
+    std::string err;
+    const auto parsed = parse_report_text(text, &err);
+    ASSERT_TRUE(parsed.has_value()) << err;
+    ASSERT_EQ(parsed->rows.size(), 1u);
+    EXPECT_EQ(parsed->rows[0].wall_seconds, 1e300);
+    EXPECT_EQ(parsed->rows[0].offered_rate, 1e300);
+    EXPECT_EQ(parsed->rows[0].lat_mean, 1e300);
+    EXPECT_EQ(parsed->rows[0].accepted_rate, 0.25);
+    EXPECT_EQ(json_report(parsed->rows, parsed->meta), text);
 }
 
 } // namespace
