@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <string_view>
 #include <utility>
@@ -16,439 +14,6 @@ namespace {
 bool set_error(std::string* error, std::string msg) {
     if (error != nullptr) *error = std::move(msg);
     return false;
-}
-
-/// Parsed JSON value. Numbers keep their raw spelling: u64 fields (seeds,
-/// cycle counts) do not survive a trip through double.
-struct Json {
-    enum class Kind : u8 { Null, Bool, Number, String, Array, Object };
-    Kind kind = Kind::Null;
-    bool b = false;
-    std::string text; ///< String: decoded text; Number: raw spelling
-    std::vector<Json> arr;
-    std::vector<std::pair<std::string, Json>> obj;
-
-    [[nodiscard]] const Json* find(std::string_view key) const {
-        for (const auto& [k, v] : obj)
-            if (k == key) return &v;
-        return nullptr;
-    }
-};
-
-/// Minimal recursive-descent parser — exactly the grammar this module's
-/// own emitters produce (objects, arrays, strings with escapes, numbers,
-/// bools, null), with a depth cap so malformed input cannot blow the
-/// stack.
-class JsonParser {
-public:
-    explicit JsonParser(std::string_view s) : s_(s) {}
-
-    bool parse(Json* out, std::string* error) {
-        bool ok = value(*out, 0);
-        if (ok) {
-            ws();
-            if (pos_ != s_.size()) ok = fail("trailing characters");
-        }
-        if (!ok && error != nullptr) {
-            char where[48];
-            std::snprintf(where, sizeof where, " at byte %zu", pos_);
-            *error = err_ + where;
-        }
-        return ok;
-    }
-
-private:
-    bool fail(const char* msg) {
-        if (err_.empty()) err_ = msg;
-        return false;
-    }
-
-    void ws() {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool lit(std::string_view w) {
-        if (s_.substr(pos_).substr(0, w.size()) != w) return false;
-        pos_ += w.size();
-        return true;
-    }
-
-    bool value(Json& out, int depth) {
-        if (depth > 64) return fail("nesting too deep");
-        ws();
-        if (pos_ >= s_.size()) return fail("unexpected end of input");
-        switch (s_[pos_]) {
-            case '{': return object(out, depth);
-            case '[': return array(out, depth);
-            case '"': out.kind = Json::Kind::String; return string(out.text);
-            case 't':
-                if (!lit("true")) return fail("bad literal");
-                out.kind = Json::Kind::Bool;
-                out.b = true;
-                return true;
-            case 'f':
-                if (!lit("false")) return fail("bad literal");
-                out.kind = Json::Kind::Bool;
-                out.b = false;
-                return true;
-            case 'n':
-                if (!lit("null")) return fail("bad literal");
-                out.kind = Json::Kind::Null;
-                return true;
-            default: return number(out);
-        }
-    }
-
-    bool object(Json& out, int depth) {
-        out.kind = Json::Kind::Object;
-        ++pos_; // '{'
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            ws();
-            if (pos_ >= s_.size() || s_[pos_] != '"')
-                return fail("expected object key");
-            std::string key;
-            if (!string(key)) return false;
-            ws();
-            if (pos_ >= s_.size() || s_[pos_] != ':')
-                return fail("expected ':'");
-            ++pos_;
-            Json v;
-            if (!value(v, depth + 1)) return false;
-            out.obj.emplace_back(std::move(key), std::move(v));
-            ws();
-            if (pos_ >= s_.size()) return fail("unterminated object");
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool array(Json& out, int depth) {
-        out.kind = Json::Kind::Array;
-        ++pos_; // '['
-        ws();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            Json v;
-            if (!value(v, depth + 1)) return false;
-            out.arr.push_back(std::move(v));
-            ws();
-            if (pos_ >= s_.size()) return fail("unterminated array");
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool string(std::string& out) {
-        ++pos_; // '"'
-        out.clear();
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_++];
-            if (c == '"') return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= s_.size()) break;
-            const char e = s_[pos_++];
-            switch (e) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case '/': out.push_back('/'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
-                case 'b': out.push_back('\b'); break;
-                case 'f': out.push_back('\f'); break;
-                case 'u': {
-                    if (pos_ + 4 > s_.size()) return fail("bad \\u escape");
-                    u32 cp = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = s_[pos_++];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= static_cast<u32>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= static_cast<u32>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= static_cast<u32>(h - 'A' + 10);
-                        else
-                            return fail("bad \\u escape");
-                    }
-                    // Our emitter only escapes control bytes; decode the
-                    // BMP and reject surrogates rather than carry UTF-16
-                    // pairing logic nothing produces.
-                    if (cp >= 0xD800 && cp <= 0xDFFF)
-                        return fail("unsupported surrogate escape");
-                    if (cp < 0x80) {
-                        out.push_back(static_cast<char>(cp));
-                    } else if (cp < 0x800) {
-                        out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-                        out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-                    } else {
-                        out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-                        out.push_back(
-                            static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-                        out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-                    }
-                    break;
-                }
-                default: return fail("bad escape");
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool number(Json& out) {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-        const std::size_t digits = pos_;
-        while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-        if (pos_ == digits) return fail("expected a value");
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9')
-                ++pos_;
-        }
-        out.kind = Json::Kind::Number;
-        out.text.assign(s_.substr(start, pos_ - start));
-        return true;
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-    std::string err_;
-};
-
-// ---- typed field extraction ------------------------------------------
-
-std::string field_error(const char* key, const char* what) {
-    return std::string{"field '"} + key + "' " + what;
-}
-
-bool want_u64(const Json& j, const char* key, u64* out, std::string* error) {
-    const Json* v = j.find(key);
-    if (v == nullptr || v->kind != Json::Kind::Number)
-        return set_error(error, field_error(key, "missing or not a number"));
-    if (v->text.empty() || v->text[0] == '-')
-        return set_error(error, field_error(key, "is not a u64"));
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long x = std::strtoull(v->text.c_str(), &end, 10);
-    if (errno != 0 || end != v->text.c_str() + v->text.size())
-        return set_error(error, field_error(key, "is not a u64"));
-    *out = x;
-    return true;
-}
-
-bool want_u32(const Json& j, const char* key, u32* out, std::string* error) {
-    u64 x = 0;
-    if (!want_u64(j, key, &x, error)) return false;
-    if (x > 0xFFFFFFFFull)
-        return set_error(error, field_error(key, "overflows u32"));
-    *out = static_cast<u32>(x);
-    return true;
-}
-
-bool want_double(const Json& j, const char* key, double* out,
-                 std::string* error) {
-    const Json* v = j.find(key);
-    if (v == nullptr || v->kind != Json::Kind::Number)
-        return set_error(error, field_error(key, "missing or not a number"));
-    errno = 0;
-    char* end = nullptr;
-    const double x = std::strtod(v->text.c_str(), &end);
-    if (errno != 0 || end != v->text.c_str() + v->text.size())
-        return set_error(error, field_error(key, "is not a number"));
-    *out = x;
-    return true;
-}
-
-bool want_bool(const Json& j, const char* key, bool* out, std::string* error) {
-    const Json* v = j.find(key);
-    if (v == nullptr || v->kind != Json::Kind::Bool)
-        return set_error(error, field_error(key, "missing or not a bool"));
-    *out = v->b;
-    return true;
-}
-
-bool want_string(const Json& j, const char* key, std::string* out,
-                 std::string* error) {
-    const Json* v = j.find(key);
-    if (v == nullptr || v->kind != Json::Kind::String)
-        return set_error(error, field_error(key, "missing or not a string"));
-    *out = v->text;
-    return true;
-}
-
-// ---- report-schema conversion ----------------------------------------
-
-bool meta_from_json(const Json& j, SweepMeta* m, std::string* error) {
-    if (j.kind != Json::Kind::Object)
-        return set_error(error, "sweep header is not an object");
-    u64 max_cycles = 0;
-    std::string tier;
-    if (!want_string(j, "app", &m->app, error) ||
-        !want_u32(j, "cores", &m->n_cores, error) ||
-        !want_u32(j, "jobs", &m->jobs, error) ||
-        !want_u64(j, "max_cycles", &max_cycles, error) ||
-        !want_string(j, "tier", &tier, error) ||
-        !want_u64(j, "seed", &m->seed, error) ||
-        !want_u32(j, "n_candidates", &m->n_candidates, error))
-        return false;
-    m->max_cycles = max_cycles;
-    const std::optional<Tier> t = parse_tier(tier);
-    if (!t) return set_error(error, "unknown tier '" + tier + "'");
-    m->tier = *t;
-    m->funnel_top = 0;
-    if (j.find("funnel_top") != nullptr &&
-        !want_u32(j, "funnel_top", &m->funnel_top, error))
-        return false;
-    m->shard = ShardSpec{};
-    if (const Json* s = j.find("shard"); s != nullptr) {
-        if (s->kind != Json::Kind::Object)
-            return set_error(error, "field 'shard' is not an object");
-        if (!want_u32(*s, "index", &m->shard.index, error) ||
-            !want_u32(*s, "count", &m->shard.count, error))
-            return false;
-        if (m->shard.count == 0 || m->shard.index >= m->shard.count)
-            return set_error(error, "invalid shard index/count");
-    }
-    return true;
-}
-
-bool row_from_json(const Json& j, SweepResult* r, std::string* error) {
-    if (j.kind != Json::Kind::Object)
-        return set_error(error, "candidate row is not an object");
-    *r = SweepResult{}; // optional blocks must not inherit a reused row's state
-    std::string failure;
-    if (!want_string(j, "name", &r->name, error) ||
-        !want_string(j, "fabric", &r->fabric, error) ||
-        !want_u32(j, "index", &r->index, error) ||
-        !want_string(j, "error", &r->error, error) ||
-        !want_string(j, "failure", &failure, error) ||
-        !want_bool(j, "completed", &r->completed, error) ||
-        !want_bool(j, "checks_ok", &r->checks_ok, error) ||
-        !want_u64(j, "cycles", &r->cycles, error) ||
-        !want_u64(j, "busy_cycles", &r->busy_cycles, error) ||
-        !want_u64(j, "contention_cycles", &r->contention_cycles, error) ||
-        !want_double(j, "busy_pct", &r->busy_pct, error) ||
-        !want_u64(j, "total_instructions", &r->total_instructions, error) ||
-        !want_double(j, "wall_seconds", &r->wall_seconds, error))
-        return false;
-    const std::optional<FailureKind> k = parse_failure(failure);
-    if (!k) return set_error(error, "unknown failure kind '" + failure + "'");
-    r->failure = *k;
-    if (j.find("cpu_completed") != nullptr) {
-        r->has_cpu_truth = true;
-        if (!want_bool(j, "cpu_completed", &r->cpu_completed, error) ||
-            !want_u64(j, "cpu_cycles", &r->cpu_cycles, error) ||
-            !want_double(j, "cpu_wall_seconds", &r->cpu_wall_seconds, error) ||
-            !want_double(j, "err_pct", &r->err_pct, error))
-            return false;
-    }
-    if (j.find("offered_rate") != nullptr) {
-        r->has_latency = true;
-        if (!want_double(j, "offered_rate", &r->offered_rate, error) ||
-            !want_double(j, "accepted_rate", &r->accepted_rate, error) ||
-            !want_u64(j, "packets", &r->packets, error) ||
-            !want_u64(j, "error_packets", &r->error_packets, error) ||
-            !want_u64(j, "lat_count", &r->lat_count, error) ||
-            !want_double(j, "lat_mean", &r->lat_mean, error) ||
-            !want_u64(j, "lat_p50", &r->lat_p50, error) ||
-            !want_u64(j, "lat_p99", &r->lat_p99, error) ||
-            !want_u64(j, "lat_max", &r->lat_max, error))
-            return false;
-    }
-    if (j.find("pending_limit") != nullptr) {
-        r->has_open = true;
-        if (!want_u64(j, "pending_limit", &r->pending_limit, error) ||
-            !want_u64(j, "pending_peak", &r->pending_peak, error) ||
-            !want_u64(j, "net_lat_count", &r->net_lat_count, error) ||
-            !want_double(j, "net_lat_mean", &r->net_lat_mean, error) ||
-            !want_u64(j, "net_lat_p50", &r->net_lat_p50, error) ||
-            !want_u64(j, "net_lat_p99", &r->net_lat_p99, error) ||
-            !want_u64(j, "net_lat_max", &r->net_lat_max, error) ||
-            !want_u64(j, "sq_lat_count", &r->sq_lat_count, error) ||
-            !want_double(j, "sq_lat_mean", &r->sq_lat_mean, error) ||
-            !want_u64(j, "sq_lat_p50", &r->sq_lat_p50, error) ||
-            !want_u64(j, "sq_lat_p99", &r->sq_lat_p99, error) ||
-            !want_u64(j, "sq_lat_max", &r->sq_lat_max, error))
-            return false;
-    }
-    if (j.find("analytic") != nullptr) {
-        if (!want_bool(j, "analytic", &r->analytic, error) ||
-            !want_double(j, "predicted_saturation", &r->predicted_saturation,
-                         error))
-            return false;
-    }
-    if (j.find("fault_injected") != nullptr) {
-        r->has_faults = true;
-        if (!want_u64(j, "fault_injected", &r->fault_injected, error) ||
-            !want_u64(j, "fault_delivered", &r->fault_delivered, error) ||
-            !want_u64(j, "fault_err_delivered", &r->fault_err_delivered,
-                      error) ||
-            !want_u64(j, "fault_recovered", &r->fault_recovered, error) ||
-            !want_u64(j, "fault_lost", &r->fault_lost, error) ||
-            !want_u64(j, "fault_retries", &r->fault_retries, error) ||
-            !want_u64(j, "fault_corrupted", &r->fault_corrupted, error) ||
-            !want_u64(j, "fault_dropped", &r->fault_dropped, error) ||
-            !want_u64(j, "fault_stalls", &r->fault_stalls, error) ||
-            !want_u64(j, "fault_csum_fails", &r->fault_csum_fails, error) ||
-            !want_double(j, "delivered_ratio", &r->delivered_ratio, error) ||
-            !want_u64(j, "retry_lat_count", &r->retry_lat_count, error) ||
-            !want_double(j, "retry_lat_mean", &r->retry_lat_mean, error) ||
-            !want_u64(j, "retry_lat_p99", &r->retry_lat_p99, error))
-            return false;
-    }
-    return true;
-}
-
-bool read_file(const std::string& path, std::string* out,
-               std::string* error) {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
-        return set_error(error, "cannot open " + path + ": " +
-                                    std::strerror(errno));
-    out->clear();
-    char buf[1 << 16];
-    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
-        out->append(buf, n);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
-    if (!ok) return set_error(error, "read error on " + path);
-    return true;
 }
 
 } // namespace
@@ -488,14 +53,6 @@ std::string meta_diff(const SweepMeta& a, const SweepMeta& b) {
     if (a.funnel_top != b.funnel_top) return "funnel_top";
     if (a.shard.count != b.shard.count) return "shard_count";
     return "";
-}
-
-void canonicalize(SweepMeta& meta, std::vector<SweepResult>& rows) {
-    meta.jobs = 0;
-    for (SweepResult& r : rows) {
-        r.wall_seconds = 0.0;
-        r.cpu_wall_seconds = 0.0;
-    }
 }
 
 JournalWriter::~JournalWriter() {
@@ -602,116 +159,6 @@ bool JournalWriter::close() {
     if (std::fclose(f_) != 0) failed_ = true;
     f_ = nullptr;
     return !failed_;
-}
-
-std::optional<ParsedReport> load_journal(const std::string& path,
-                                         std::string* error) {
-    std::string text;
-    if (!read_file(path, &text, error)) return std::nullopt;
-
-    // Split into lines first so "last line" is well defined: a torn final
-    // line (killed mid-write) is recoverable, a corrupt interior line is
-    // not a journal.
-    std::vector<std::string_view> lines;
-    const std::string_view sv{text};
-    for (std::size_t pos = 0; pos < sv.size();) {
-        std::size_t nl = sv.find('\n', pos);
-        if (nl == std::string_view::npos) nl = sv.size();
-        if (nl > pos) lines.push_back(sv.substr(pos, nl - pos));
-        pos = nl + 1;
-    }
-    if (lines.empty()) {
-        set_error(error, path + ": empty journal");
-        return std::nullopt;
-    }
-
-    ParsedReport out;
-    std::string perr;
-    Json header;
-    if (!JsonParser{lines[0]}.parse(&header, &perr) ||
-        header.kind != Json::Kind::Object) {
-        set_error(error, path + ": bad journal header: " + perr);
-        return std::nullopt;
-    }
-    const Json* meta = header.find("sweep_journal");
-    if (meta == nullptr) {
-        set_error(error, path + ": not a sweep journal (no header)");
-        return std::nullopt;
-    }
-    if (!meta_from_json(*meta, &out.meta, &perr)) {
-        set_error(error, path + ": bad journal header: " + perr);
-        return std::nullopt;
-    }
-
-    out.rows.reserve(lines.size() - 1);
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        Json row;
-        SweepResult r;
-        if (!JsonParser{lines[i]}.parse(&row, &perr) ||
-            !row_from_json(row, &r, &perr)) {
-            if (i + 1 == lines.size()) break; // torn final line: re-evaluate
-            char msg[64];
-            std::snprintf(msg, sizeof msg, ": corrupt journal line %zu: ",
-                          i + 1);
-            set_error(error, path + msg + perr);
-            return std::nullopt;
-        }
-        out.rows.push_back(std::move(r));
-    }
-    return out;
-}
-
-std::optional<ParsedReport> parse_report_text(const std::string& text,
-                                              std::string* error) {
-    Json root;
-    std::string perr;
-    if (!JsonParser{text}.parse(&root, &perr) ||
-        root.kind != Json::Kind::Object) {
-        set_error(error, "bad report: " + perr);
-        return std::nullopt;
-    }
-    const Json* sweep = root.find("sweep");
-    const Json* cands = root.find("candidates");
-    if (sweep == nullptr || cands == nullptr ||
-        cands->kind != Json::Kind::Array) {
-        set_error(error, "bad report: missing 'sweep' or 'candidates'");
-        return std::nullopt;
-    }
-    ParsedReport out;
-    if (!meta_from_json(*sweep, &out.meta, &perr)) {
-        set_error(error, "bad report header: " + perr);
-        return std::nullopt;
-    }
-    out.rows.reserve(cands->arr.size());
-    for (std::size_t i = 0; i < cands->arr.size(); ++i) {
-        SweepResult r;
-        if (!row_from_json(cands->arr[i], &r, &perr)) {
-            char msg[48];
-            std::snprintf(msg, sizeof msg, "bad candidate row %zu: ", i);
-            set_error(error, msg + perr);
-            return std::nullopt;
-        }
-        out.rows.push_back(std::move(r));
-    }
-    return out;
-}
-
-std::optional<ParsedReport> parse_report_file(const std::string& path,
-                                              std::string* error) {
-    std::string text;
-    if (!read_file(path, &text, error)) return std::nullopt;
-    std::optional<ParsedReport> out = parse_report_text(text, error);
-    if (!out && error != nullptr) *error = path + ": " + *error;
-    return out;
-}
-
-bool parse_result_row(const std::string& line, SweepResult* out,
-                      std::string* error) {
-    Json row;
-    std::string perr;
-    if (!JsonParser{line}.parse(&row, &perr))
-        return set_error(error, "bad row: " + perr);
-    return row_from_json(row, out, error);
 }
 
 std::optional<ParsedReport> merge_reports(std::vector<ParsedReport> shards,

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdarg>
 #include <cstdio>
 #include <exception>
 #include <mutex>
@@ -58,52 +57,6 @@ u32 resolve_jobs(u32 jobs, std::size_t n_candidates) {
     if (jobs > n_candidates && n_candidates > 0)
         jobs = static_cast<u32>(n_candidates);
     return jobs;
-}
-
-bool bit_identical(const SweepResult& a, const SweepResult& b) {
-    return a.name == b.name && a.fabric == b.fabric && a.index == b.index &&
-           a.error == b.error && a.failure == b.failure &&
-           a.completed == b.completed &&
-           a.checks_ok == b.checks_ok && a.cycles == b.cycles &&
-           a.per_core == b.per_core &&
-           a.total_instructions == b.total_instructions &&
-           a.busy_cycles == b.busy_cycles &&
-           a.contention_cycles == b.contention_cycles &&
-           a.busy_pct == b.busy_pct && a.has_cpu_truth == b.has_cpu_truth &&
-           a.cpu_completed == b.cpu_completed && a.cpu_cycles == b.cpu_cycles &&
-           a.err_pct == b.err_pct && a.has_latency == b.has_latency &&
-           a.offered_rate == b.offered_rate &&
-           a.accepted_rate == b.accepted_rate && a.packets == b.packets &&
-           a.error_packets == b.error_packets &&
-           a.lat_count == b.lat_count && a.lat_mean == b.lat_mean &&
-           a.lat_p50 == b.lat_p50 && a.lat_p99 == b.lat_p99 &&
-           a.lat_max == b.lat_max && a.has_open == b.has_open &&
-           a.pending_limit == b.pending_limit &&
-           a.pending_peak == b.pending_peak &&
-           a.net_lat_count == b.net_lat_count &&
-           a.net_lat_mean == b.net_lat_mean &&
-           a.net_lat_p50 == b.net_lat_p50 &&
-           a.net_lat_p99 == b.net_lat_p99 &&
-           a.net_lat_max == b.net_lat_max &&
-           a.sq_lat_count == b.sq_lat_count &&
-           a.sq_lat_mean == b.sq_lat_mean && a.sq_lat_p50 == b.sq_lat_p50 &&
-           a.sq_lat_p99 == b.sq_lat_p99 && a.sq_lat_max == b.sq_lat_max &&
-           a.analytic == b.analytic &&
-           a.predicted_saturation == b.predicted_saturation &&
-           a.has_faults == b.has_faults &&
-           a.fault_injected == b.fault_injected &&
-           a.fault_delivered == b.fault_delivered &&
-           a.fault_err_delivered == b.fault_err_delivered &&
-           a.fault_recovered == b.fault_recovered &&
-           a.fault_lost == b.fault_lost && a.fault_retries == b.fault_retries &&
-           a.fault_corrupted == b.fault_corrupted &&
-           a.fault_dropped == b.fault_dropped &&
-           a.fault_stalls == b.fault_stalls &&
-           a.fault_csum_fails == b.fault_csum_fails &&
-           a.delivered_ratio == b.delivered_ratio &&
-           a.retry_lat_count == b.retry_lat_count &&
-           a.retry_lat_mean == b.retry_lat_mean &&
-           a.retry_lat_p99 == b.retry_lat_p99;
 }
 
 u64 derive_seed(u64 base, u32 candidate_index, u32 core) {
@@ -298,241 +251,6 @@ SaturationPoint find_saturation(const std::vector<SweepResult>& rate_ordered) {
         sat.mean_latency = curve_lat(r);
     }
     return sat;
-}
-
-namespace {
-
-/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
-/// control characters (exception messages can carry newlines). Unbounded
-/// length — candidate names and error strings must never truncate the
-/// report into invalid JSON.
-void append_string(std::string& out, const std::string& s) {
-    out.push_back('"');
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x",
-                                  static_cast<unsigned char>(c));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
-        }
-    }
-    out.push_back('"');
-}
-
-/// printf-style append for the numeric/bool fragments (strings go through
-/// append_string). Formats on the stack when the text fits and formats
-/// again straight into `out` when it does not (a %.6f of a huge double
-/// runs to hundreds of digits), so no row is ever truncated.
-void append(std::string& out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void append(std::string& out, const char* fmt, ...) {
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    va_list again;
-    va_copy(again, ap);
-    const int n = std::vsnprintf(buf, sizeof buf, fmt, ap);
-    va_end(ap);
-    if (n < 0) {
-        va_end(again);
-        throw std::runtime_error{"sweep report: formatting failed"};
-    }
-    const auto len = static_cast<std::size_t>(n);
-    if (len < sizeof buf) {
-        va_end(again);
-        out.append(buf, len);
-        return;
-    }
-    const std::size_t at = out.size();
-    out.resize(at + len + 1); // vsnprintf writes the terminator too
-    std::vsnprintf(&out[at], len + 1, fmt, again);
-    va_end(again);
-    out.resize(at + len);
-}
-
-/// Emits the report piecewise through `flush(buffer)` — once for the
-/// header, once per row, once for the footer — so FILE-backed sinks never
-/// hold more than one row in memory. Stops (returning false) on the first
-/// flush failure.
-template <typename Flush>
-bool emit_report(const std::vector<SweepResult>& results,
-                 const SweepMeta& meta, Flush&& flush) {
-    std::string buf;
-    buf += "{\n  \"sweep\": ";
-    append_sweep_meta(buf, meta);
-    buf += ",\n  \"candidates\": [";
-    if (!flush(buf)) return false;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        buf.clear();
-        buf += i ? ",\n    " : "\n    ";
-        append_result_row(buf, results[i]);
-        if (!flush(buf)) return false;
-    }
-    buf = "\n  ]\n}\n";
-    return flush(buf);
-}
-
-} // namespace
-
-void append_sweep_meta(std::string& out, const SweepMeta& meta) {
-    out += "{\"app\": ";
-    append_string(out, meta.app);
-    append(out, ", \"cores\": %u, \"jobs\": %u", meta.n_cores, meta.jobs);
-    append(out, ", \"max_cycles\": %llu",
-           static_cast<unsigned long long>(meta.max_cycles));
-    append(out, ", \"tier\": \"%s\"",
-           std::string{to_string(meta.tier)}.c_str());
-    append(out, ", \"seed\": %llu, \"n_candidates\": %u",
-           static_cast<unsigned long long>(meta.seed), meta.n_candidates);
-    if (meta.tier == Tier::Funnel)
-        append(out, ", \"funnel_top\": %u", meta.funnel_top);
-    if (meta.shard.count > 1)
-        append(out, ", \"shard\": {\"index\": %u, \"count\": %u}",
-               meta.shard.index, meta.shard.count);
-    out += "}";
-}
-
-void append_result_row(std::string& out, const SweepResult& r) {
-    out += "{\"name\": ";
-    append_string(out, r.name);
-    out += ", \"fabric\": ";
-    append_string(out, r.fabric);
-    append(out, ", \"index\": %u", r.index);
-    append(out, ", \"ok\": %s, \"error\": ", r.ok() ? "true" : "false");
-    append_string(out, r.error);
-    append(out, ", \"failure\": \"%s\"",
-           std::string{to_string(r.failure)}.c_str());
-    append(out, ", \"completed\": %s, \"checks_ok\": %s",
-           r.completed ? "true" : "false", r.checks_ok ? "true" : "false");
-    append(out, ", \"cycles\": %llu, \"busy_cycles\": %llu",
-           static_cast<unsigned long long>(r.cycles),
-           static_cast<unsigned long long>(r.busy_cycles));
-    append(out, ", \"contention_cycles\": %llu, \"busy_pct\": %.4f",
-           static_cast<unsigned long long>(r.contention_cycles),
-           r.busy_pct);
-    append(out, ", \"total_instructions\": %llu, \"wall_seconds\": %.6f",
-           static_cast<unsigned long long>(r.total_instructions),
-           r.wall_seconds);
-    if (r.has_cpu_truth)
-        append(out,
-               ", \"cpu_completed\": %s, \"cpu_cycles\": %llu"
-               ", \"cpu_wall_seconds\": %.6f, \"err_pct\": %.4f",
-               r.cpu_completed ? "true" : "false",
-               static_cast<unsigned long long>(r.cpu_cycles),
-               r.cpu_wall_seconds, r.err_pct);
-    if (r.has_latency) {
-        append(out,
-               ", \"offered_rate\": %.6f, \"accepted_rate\": %.6f"
-               ", \"packets\": %llu, \"error_packets\": %llu",
-               r.offered_rate, r.accepted_rate,
-               static_cast<unsigned long long>(r.packets),
-               static_cast<unsigned long long>(r.error_packets));
-        append(out,
-               ", \"lat_count\": %llu, \"lat_mean\": %.4f"
-               ", \"lat_p50\": %llu, \"lat_p99\": %llu, \"lat_max\": %llu",
-               static_cast<unsigned long long>(r.lat_count), r.lat_mean,
-               static_cast<unsigned long long>(r.lat_p50),
-               static_cast<unsigned long long>(r.lat_p99),
-               static_cast<unsigned long long>(r.lat_max));
-    }
-    if (r.has_open) {
-        append(out, ", \"pending_limit\": %llu, \"pending_peak\": %llu",
-               static_cast<unsigned long long>(r.pending_limit),
-               static_cast<unsigned long long>(r.pending_peak));
-        append(out,
-               ", \"net_lat_count\": %llu, \"net_lat_mean\": %.4f"
-               ", \"net_lat_p50\": %llu, \"net_lat_p99\": %llu"
-               ", \"net_lat_max\": %llu",
-               static_cast<unsigned long long>(r.net_lat_count),
-               r.net_lat_mean,
-               static_cast<unsigned long long>(r.net_lat_p50),
-               static_cast<unsigned long long>(r.net_lat_p99),
-               static_cast<unsigned long long>(r.net_lat_max));
-        append(out,
-               ", \"sq_lat_count\": %llu, \"sq_lat_mean\": %.4f"
-               ", \"sq_lat_p50\": %llu, \"sq_lat_p99\": %llu"
-               ", \"sq_lat_max\": %llu",
-               static_cast<unsigned long long>(r.sq_lat_count), r.sq_lat_mean,
-               static_cast<unsigned long long>(r.sq_lat_p50),
-               static_cast<unsigned long long>(r.sq_lat_p99),
-               static_cast<unsigned long long>(r.sq_lat_max));
-    }
-    if (r.analytic)
-        append(out, ", \"analytic\": true, \"predicted_saturation\": %.6f",
-               r.predicted_saturation);
-    if (r.has_faults) {
-        append(out,
-               ", \"fault_injected\": %llu, \"fault_delivered\": %llu"
-               ", \"fault_err_delivered\": %llu",
-               static_cast<unsigned long long>(r.fault_injected),
-               static_cast<unsigned long long>(r.fault_delivered),
-               static_cast<unsigned long long>(r.fault_err_delivered));
-        append(out,
-               ", \"fault_recovered\": %llu, \"fault_lost\": %llu"
-               ", \"fault_retries\": %llu",
-               static_cast<unsigned long long>(r.fault_recovered),
-               static_cast<unsigned long long>(r.fault_lost),
-               static_cast<unsigned long long>(r.fault_retries));
-        append(out,
-               ", \"fault_corrupted\": %llu, \"fault_dropped\": %llu"
-               ", \"fault_stalls\": %llu, \"fault_csum_fails\": %llu"
-               ", \"delivered_ratio\": %.6f",
-               static_cast<unsigned long long>(r.fault_corrupted),
-               static_cast<unsigned long long>(r.fault_dropped),
-               static_cast<unsigned long long>(r.fault_stalls),
-               static_cast<unsigned long long>(r.fault_csum_fails),
-               r.delivered_ratio);
-        append(out,
-               ", \"retry_lat_count\": %llu, \"retry_lat_mean\": %.4f"
-               ", \"retry_lat_p99\": %llu",
-               static_cast<unsigned long long>(r.retry_lat_count),
-               r.retry_lat_mean,
-               static_cast<unsigned long long>(r.retry_lat_p99));
-    }
-    out += "}";
-}
-
-std::string json_report(const std::vector<SweepResult>& results,
-                        const SweepMeta& meta) {
-    std::string out;
-    (void)emit_report(results, meta, [&out](const std::string& piece) {
-        out += piece;
-        return true;
-    });
-    return out;
-}
-
-bool json_report_to(std::FILE* f, const std::vector<SweepResult>& results,
-                    const SweepMeta& meta) {
-    return emit_report(results, meta, [f](const std::string& piece) {
-        return std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
-    });
-}
-
-bool write_json_report(const std::vector<SweepResult>& results,
-                       const SweepMeta& meta, const std::string& path) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "WARN: cannot write %s\n", path.c_str());
-        return false;
-    }
-    const bool ok = json_report_to(f, results, meta);
-    if (std::fclose(f) != 0 || !ok) {
-        std::fprintf(stderr, "WARN: short write to %s\n", path.c_str());
-        return false;
-    }
-    return true;
 }
 
 SweepDriver::SweepDriver(const std::vector<tg::TgProgram>& programs,

@@ -489,7 +489,10 @@ TEST(Resume, FunnelResumeMatchesUninterruptedRun) {
 
 // --- row parsing -------------------------------------------------------------
 
-TEST(RowParse, RoundTripsEveryFieldShape) {
+/// A row carrying every block, each value exact at its printed precision
+/// and per_core empty, so text -> row -> text and row -> text -> row both
+/// round-trip exactly.
+SweepResult every_block_row() {
     SweepResult r;
     r.name = "q \"x\" \\ y";
     r.fabric = "xpipes 5x4 fifo2";
@@ -519,6 +522,39 @@ TEST(RowParse, RoundTripsEveryFieldShape) {
     r.lat_max = 120;
     r.analytic = true;
     r.predicted_saturation = 0.21;
+    r.has_open = true;
+    r.pending_limit = 64;
+    r.pending_peak = 63;
+    r.net_lat_count = 600;
+    r.net_lat_mean = 18.5;
+    r.net_lat_p50 = 17;
+    r.net_lat_p99 = 41;
+    r.net_lat_max = 52;
+    r.sq_lat_count = 601;
+    r.sq_lat_mean = 12.75;
+    r.sq_lat_p50 = 11;
+    r.sq_lat_p99 = 37;
+    r.sq_lat_max = 49;
+    r.has_faults = true;
+    r.fault_injected = 700;
+    r.fault_delivered = 690;
+    r.fault_err_delivered = 4;
+    r.fault_recovered = 21;
+    r.fault_lost = 6;
+    r.fault_retries = 33;
+    r.fault_corrupted = 15;
+    r.fault_dropped = 9;
+    r.fault_stalls = 13;
+    r.fault_csum_fails = 14;
+    r.delivered_ratio = 0.5;
+    r.retry_lat_count = 21;
+    r.retry_lat_mean = 96.25;
+    r.retry_lat_p99 = 180;
+    return r;
+}
+
+TEST(RowParse, RoundTripsEveryFieldShape) {
+    const SweepResult r = every_block_row();
 
     std::string line;
     append_result_row(line, r);
@@ -528,6 +564,10 @@ TEST(RowParse, RoundTripsEveryFieldShape) {
     std::string again;
     append_result_row(again, parsed);
     EXPECT_EQ(again, line);
+    // Every value above is exact at its printed precision and per_core is
+    // empty, so the parse must land each key in its own member: the text
+    // comparison alone cannot see two swapped fields.
+    EXPECT_TRUE(bit_identical(parsed, r));
 
     // A failed row round-trips its failure kind and error text.
     SweepResult bad;
@@ -552,6 +592,228 @@ TEST(RowParse, RejectsNonRowInput) {
     EXPECT_FALSE(parse_result_row("not json", &out, &err));
     EXPECT_FALSE(parse_result_row("[1, 2]", &out, &err));
     EXPECT_FALSE(parse_result_row("{\"name\": \"x\"}", &out, &err)); // fields
+}
+
+// --- hostile input -----------------------------------------------------------
+//
+// Reports and journals arrive from other machines and from killed
+// processes. Whatever the bytes, the reader must end in a result or a
+// diagnostic — never a crash (these run under ASan/UBSan in CI).
+
+/// A two-row sharded funnel report: one failed row, one with every block.
+std::string hostile_report() {
+    SweepMeta meta;
+    meta.app = "hostile";
+    meta.n_cores = 16;
+    meta.jobs = 2;
+    meta.max_cycles = 5000;
+    meta.tier = Tier::Funnel;
+    meta.seed = 11;
+    meta.n_candidates = 16;
+    meta.funnel_top = 4;
+    meta.shard = {1, 2};
+    SweepResult bad;
+    bad.name = "broken";
+    bad.fabric = "xpipes 1x1 fifo4";
+    bad.index = 1;
+    bad.error = "mesh too small";
+    bad.failure = FailureKind::SetupError;
+    return json_report({bad, every_block_row()}, meta);
+}
+
+std::string every_block_line() {
+    std::string line;
+    append_result_row(line, every_block_row());
+    return line;
+}
+
+/// `line` with the value of `"key": ` replaced by `value` (the corpus
+/// values contain no ',' or '}').
+std::string with_value(const std::string& line, const std::string& key,
+                       const std::string& value) {
+    const std::string tag = "\"" + key + "\": ";
+    const std::size_t at = line.find(tag);
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t from = at + tag.size();
+    const std::size_t to = line.find_first_of(",}", from);
+    return line.substr(0, from) + value + line.substr(to);
+}
+
+/// `line` with the `"key": value` pair removed.
+std::string without_key(const std::string& line, const std::string& key) {
+    const std::size_t at = line.find(", \"" + key + "\": ");
+    EXPECT_NE(at, std::string::npos) << key;
+    return line.substr(0, at) + line.substr(line.find_first_of(",}", at + 2));
+}
+
+void expect_row_rejected(const std::string& line, const std::string& why) {
+    SweepResult out;
+    std::string err;
+    EXPECT_FALSE(parse_result_row(line, &out, &err)) << why << ": " << line;
+    EXPECT_FALSE(err.empty()) << why;
+}
+
+TEST(HostileInput, EveryTruncationIsDiagnosed) {
+    const std::string report = hostile_report();
+    for (std::size_t n = 0; n < report.size(); ++n) {
+        std::string err;
+        const auto parsed = parse_report_text(report.substr(0, n), &err);
+        if (report.find_first_not_of(" \n", n) == std::string::npos) {
+            EXPECT_TRUE(parsed.has_value()) << n << ": " << err;
+            continue; // only trailing whitespace was cut
+        }
+        EXPECT_FALSE(parsed.has_value()) << "prefix " << n;
+        EXPECT_FALSE(err.empty()) << "prefix " << n;
+    }
+    const std::string line = every_block_line();
+    for (std::size_t n = 0; n < line.size(); ++n)
+        expect_row_rejected(line.substr(0, n), "prefix " + std::to_string(n));
+}
+
+TEST(HostileInput, JournalTruncationKeepsEveryCompleteRow) {
+    const Campaign c;
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.tier = Tier::Analytic;
+    std::vector<SweepResult> rows = c.driver.run(c.grid, opts);
+    rows.resize(3);
+    std::string text = "{\"sweep_journal\": ";
+    append_sweep_meta(text, c.meta(opts));
+    text += "}\n";
+    const std::size_t header_end = text.size();
+    std::vector<std::size_t> row_end;
+    for (const SweepResult& r : rows) {
+        append_result_row(text, r);
+        text += '\n';
+        row_end.push_back(text.size());
+    }
+    const std::string path = temp_path("hostile_cut.jsonl");
+    for (std::size_t n = 0; n <= text.size(); ++n) {
+        write_file(path, text.substr(0, n));
+        std::string err;
+        const auto journal = load_journal(path, &err);
+        if (n + 1 < header_end) {
+            EXPECT_FALSE(journal.has_value()) << "cut " << n;
+            EXPECT_FALSE(err.empty()) << "cut " << n;
+            continue;
+        }
+        // A cut past the header is a torn tail: every complete row stays.
+        ASSERT_TRUE(journal.has_value()) << "cut " << n << ": " << err;
+        std::size_t complete = 0;
+        while (complete < row_end.size() && row_end[complete] <= n + 1)
+            ++complete;
+        ASSERT_EQ(journal->rows.size(), complete) << "cut " << n;
+        for (std::size_t i = 0; i < complete; ++i) {
+            std::string got;
+            append_result_row(got, journal->rows[i]);
+            EXPECT_EQ(got, text.substr(i ? row_end[i - 1] : header_end,
+                                       got.size()))
+                << "cut " << n;
+        }
+    }
+}
+
+TEST(HostileInput, ByteFlipsAreDiagnosedOrReadConsistently) {
+    const std::string report = hostile_report();
+    u64 state = 0x5EED;
+    for (int trial = 0; trial < 600; ++trial) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        std::string text = report;
+        const std::size_t at = (state >> 33) % text.size();
+        static constexpr char kBytes[] = {'{', '}', '[', ']', '"', '\\',
+                                          ',', ':', '-', '9', 'e', '\0'};
+        const int bit = static_cast<int>((state >> 8) % 8);
+        text[at] = (trial & 1) != 0 ? kBytes[(state >> 20) % sizeof kBytes]
+                                    : static_cast<char>(text[at] ^ (1 << bit));
+        std::string err;
+        const auto parsed = parse_report_text(text, &err);
+        if (!parsed) {
+            EXPECT_FALSE(err.empty()) << "flip at " << at;
+            continue;
+        }
+        // Accepted bytes must mean one thing: writing the rows back out
+        // and reading them again gives the same rows.
+        const auto again =
+            parse_report_text(json_report(parsed->rows, parsed->meta), &err);
+        ASSERT_TRUE(again.has_value()) << "flip at " << at << ": " << err;
+        ASSERT_EQ(again->rows.size(), parsed->rows.size());
+        for (std::size_t i = 0; i < parsed->rows.size(); ++i)
+            EXPECT_TRUE(bit_identical(again->rows[i], parsed->rows[i]))
+                << "flip at " << at;
+    }
+}
+
+TEST(HostileInput, DeepNestingUnderAnUnknownKeyIsDiagnosed) {
+    const std::string line = every_block_line();
+    const auto nested = [&](int depth) {
+        return line.substr(0, line.size() - 1) + ", \"extra\": " +
+               std::string(static_cast<std::size_t>(depth), '[') +
+               std::string(static_cast<std::size_t>(depth), ']') + "}";
+    };
+    SweepResult out;
+    std::string err;
+    ASSERT_TRUE(parse_result_row(nested(10), &out, &err)) << err;
+    EXPECT_TRUE(bit_identical(out, every_block_row()));
+    expect_row_rejected(nested(100), "100-deep unknown value");
+    std::string report = hostile_report();
+    report.insert(report.find('{') + 1,
+                  "\"extra\": " + std::string(100, '{') + "}}");
+    EXPECT_FALSE(parse_report_text(report, &err).has_value());
+}
+
+TEST(HostileInput, RepeatedKeyIsAnError) {
+    const std::string line = every_block_line();
+    const std::string open = line.substr(0, line.size() - 1);
+    expect_row_rejected(open + ", \"cycles\": 5}", "repeated base key");
+    expect_row_rejected(open + ", \"fault_lost\": 6}", "repeated block key");
+    expect_row_rejected(open + ", \"ok\": true}", "repeated ok");
+    std::string err;
+    std::string report = hostile_report();
+    report.insert(report.find("\"cores\""), "\"seed\": 11, ");
+    EXPECT_FALSE(parse_report_text(report, &err).has_value());
+    EXPECT_FALSE(err.empty());
+    report = hostile_report();
+    report.insert(report.find('{') + 1, "\"candidates\": [], ");
+    EXPECT_FALSE(parse_report_text(report, &err).has_value());
+}
+
+TEST(HostileInput, WrongTypedValueOfEachKindIsDiagnosed) {
+    const std::string line = every_block_line();
+    struct Case {
+        const char* key;
+        const char* value;
+    };
+    for (const Case& c : std::vector<Case>{
+             {"name", "5"},            {"name", "null"},
+             {"index", "\"7\""},       {"index", "-1"},
+             {"index", "4294967296"},  {"index", "1.5"},
+             {"cycles", "-1"},         {"cycles", "true"},
+             {"cycles", "18446744073709551616"},
+             {"cycles", "1e3"},        {"completed", "1"},
+             {"completed", "\"true\""}, {"busy_pct", "\"x\""},
+             {"busy_pct", "1e999"},    {"wall_seconds", "null"},
+             {"lat_mean", "[]"},       {"failure", "\"bogus\""},
+             {"failure", "3"},         {"ok", "\"yes\""},
+             {"ok", "1"},              {"analytic", "0"},
+             {"fault_lost", "{}"}})
+        expect_row_rejected(with_value(line, c.key, c.value),
+                            std::string{c.key} + " = " + c.value);
+
+    // Missing keys: any base key, or any key of a block whose first key is
+    // present.
+    for (const char* key : {"fabric", "wall_seconds", "cpu_cycles", "lat_max",
+                            "sq_lat_mean", "predicted_saturation",
+                            "retry_lat_p99"})
+        expect_row_rejected(without_key(line, key),
+                            std::string{"missing "} + key);
+    expect_row_rejected(line + "x", "trailing characters");
+
+    // ok is derived from error, never read back.
+    SweepResult out;
+    std::string err;
+    ASSERT_TRUE(parse_result_row(with_value(line, "ok", "false"), &out, &err))
+        << err;
+    EXPECT_TRUE(out.ok());
 }
 
 } // namespace

@@ -367,6 +367,90 @@ TEST(JsonReport, GoldenFormat) {
               "\"max_cycles\": 1000, \"tier\": \"funnel\", \"seed\": 42, "
               "\"n_candidates\": 2, \"funnel_top\": 8, "
               "\"shard\": {\"index\": 1, \"count\": 3}}");
+
+    // One row carrying the latency, open, analytic and fault blocks, each
+    // field with a distinct value: a reorder or a swapped key inside any
+    // block changes this text.
+    SweepResult all;
+    all.name = "uniform_random rate=0.0625";
+    all.fabric = "xpipes 4x4 fifo8 fault c0.01 d0 s0 seed7";
+    all.index = 2;
+    all.completed = true;
+    all.checks_ok = true;
+    all.cycles = 20001;
+    all.busy_cycles = 20002;
+    all.contention_cycles = 20003;
+    all.busy_pct = 12.5;
+    all.total_instructions = 20004;
+    all.wall_seconds = 0.125;
+    all.has_latency = true;
+    all.offered_rate = 0.0625;
+    all.accepted_rate = 0.05;
+    all.packets = 301;
+    all.error_packets = 302;
+    all.lat_count = 303;
+    all.lat_mean = 40.5;
+    all.lat_p50 = 304;
+    all.lat_p99 = 305;
+    all.lat_max = 306;
+    all.has_open = true;
+    all.pending_limit = 401;
+    all.pending_peak = 402;
+    all.net_lat_count = 403;
+    all.net_lat_mean = 20.25;
+    all.net_lat_p50 = 404;
+    all.net_lat_p99 = 405;
+    all.net_lat_max = 406;
+    all.sq_lat_count = 407;
+    all.sq_lat_mean = 8.75;
+    all.sq_lat_p50 = 408;
+    all.sq_lat_p99 = 409;
+    all.sq_lat_max = 410;
+    all.analytic = true;
+    all.predicted_saturation = 0.3125;
+    all.has_faults = true;
+    all.fault_injected = 501;
+    all.fault_delivered = 502;
+    all.fault_err_delivered = 503;
+    all.fault_recovered = 504;
+    all.fault_lost = 505;
+    all.fault_retries = 506;
+    all.fault_corrupted = 507;
+    all.fault_dropped = 508;
+    all.fault_stalls = 509;
+    all.fault_csum_fails = 510;
+    all.delivered_ratio = 0.984375;
+    all.retry_lat_count = 511;
+    all.retry_lat_mean = 17.5;
+    all.retry_lat_p99 = 512;
+    std::string row;
+    append_result_row(row, all);
+    EXPECT_EQ(row,
+              "{\"name\": \"uniform_random rate=0.0625\", \"fabric\": "
+              "\"xpipes 4x4 fifo8 fault c0.01 d0 s0 seed7\", \"index\": 2, "
+              "\"ok\": true, \"error\": \"\", \"failure\": \"none\", "
+              "\"completed\": true, \"checks_ok\": true, \"cycles\": 20001, "
+              "\"busy_cycles\": 20002, \"contention_cycles\": 20003, "
+              "\"busy_pct\": 12.5000, \"total_instructions\": 20004, "
+              "\"wall_seconds\": 0.125000, \"offered_rate\": 0.062500, "
+              "\"accepted_rate\": 0.050000, \"packets\": 301, "
+              "\"error_packets\": 302, \"lat_count\": 303, "
+              "\"lat_mean\": 40.5000, \"lat_p50\": 304, \"lat_p99\": 305, "
+              "\"lat_max\": 306, \"pending_limit\": 401, "
+              "\"pending_peak\": 402, \"net_lat_count\": 403, "
+              "\"net_lat_mean\": 20.2500, \"net_lat_p50\": 404, "
+              "\"net_lat_p99\": 405, \"net_lat_max\": 406, "
+              "\"sq_lat_count\": 407, \"sq_lat_mean\": 8.7500, "
+              "\"sq_lat_p50\": 408, \"sq_lat_p99\": 409, "
+              "\"sq_lat_max\": 410, \"analytic\": true, "
+              "\"predicted_saturation\": 0.312500, \"fault_injected\": 501, "
+              "\"fault_delivered\": 502, \"fault_err_delivered\": 503, "
+              "\"fault_recovered\": 504, \"fault_lost\": 505, "
+              "\"fault_retries\": 506, \"fault_corrupted\": 507, "
+              "\"fault_dropped\": 508, \"fault_stalls\": 509, "
+              "\"fault_csum_fails\": 510, \"delivered_ratio\": 0.984375, "
+              "\"retry_lat_count\": 511, \"retry_lat_mean\": 17.5000, "
+              "\"retry_lat_p99\": 512}");
 }
 
 TEST(JsonReport, HugeValuesRoundTripUntruncated) {

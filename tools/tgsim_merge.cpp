@@ -14,7 +14,8 @@
 //
 //   exit 2 — an input could not be read or parsed (not a report at all);
 //   exit 1 — all inputs parsed but a cross-shard invariant failed, usage
-//            errors, or the output could not be written.
+//            errors (an unknown flag such as --jsn included), or the output
+//            could not be written.
 //
 // Output is the canonical deterministic form (jobs = 0, wall clocks
 // zeroed), byte-identical to `tgsim_sweep --deterministic` over the same
@@ -30,6 +31,13 @@ using namespace tgsim;
 
 int main(int argc, char** argv) {
     const cli::Args args{argc, argv};
+    cli::OptionSet options{"tgsim-merge",
+                           "merge shard reports into the canonical "
+                           "single-run report; positional args are the "
+                           "shard reports"};
+    options.add({"json", cli::OptionSpec::Kind::Text, "OUT", "",
+                 "output report (default: stdout)"});
+    options.check_or_help(args);
     if (args.positional().empty()) {
         std::fprintf(stderr,
                      "usage: tgsim_merge [--json=OUT] shard0.json ... "
