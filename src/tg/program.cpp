@@ -103,6 +103,15 @@ Call parse_call(const std::string& line) {
     return c;
 }
 
+/// The call's i-th argument; a missing one is malformed input, not an
+/// out-of-range access.
+const std::string& arg(const Call& c, std::size_t i) {
+    if (i >= c.args.size())
+        throw std::invalid_argument{"tgp: " + c.name + " is missing argument " +
+                                    std::to_string(i + 1)};
+    return c.args[i];
+}
+
 } // namespace
 
 std::string to_text(const TgProgram& prog) {
@@ -225,19 +234,19 @@ TgProgram program_from_text(const std::string& text) {
         TgInstr in;
         if (c.name == "Read") {
             in.op = TgOp::Read;
-            in.a = parse_reg(c.args.at(0));
+            in.a = parse_reg(arg(c, 0));
         } else if (c.name == "Write") {
             in.op = TgOp::Write;
-            in.a = parse_reg(c.args.at(0));
-            in.b = parse_reg(c.args.at(1));
+            in.a = parse_reg(arg(c, 0));
+            in.b = parse_reg(arg(c, 1));
         } else if (c.name == "BurstRead") {
             in.op = TgOp::BurstRead;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
+            in.a = parse_reg(arg(c, 0));
+            in.imm = parse_u32(arg(c, 1));
         } else if (c.name == "BurstWrite") {
             in.op = TgOp::BurstWrite;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
+            in.a = parse_reg(arg(c, 0));
+            in.imm = parse_u32(arg(c, 1));
             // beats are in the suffix: "{ 0x.., 0x.. }"
             const auto ob = c.suffix.find('{');
             const auto cb = c.suffix.find('}');
@@ -254,7 +263,7 @@ TgProgram program_from_text(const std::string& text) {
                 throw std::invalid_argument{"tgp: BurstWrite beat count mismatch"};
         } else if (c.name == "If" || c.name == "IfImm") {
             // args[0] = "rX <cmp> rhs" ; suffix = "then <label>"
-            std::istringstream as{c.args.at(0)};
+            std::istringstream as{arg(c, 0)};
             std::string lhs, cmp, rhs;
             as >> lhs >> cmp >> rhs;
             in.op = (c.name == "If") ? TgOp::If : TgOp::IfImm;
@@ -272,17 +281,17 @@ TgProgram program_from_text(const std::string& text) {
             refs.push_back(Ref{prog.instrs.size(), label});
         } else if (c.name == "Jump") {
             in.op = TgOp::Jump;
-            refs.push_back(Ref{prog.instrs.size(), c.args.at(0)});
+            refs.push_back(Ref{prog.instrs.size(), arg(c, 0)});
         } else if (c.name == "SetRegister") {
             in.op = TgOp::SetRegister;
-            in.a = parse_reg(c.args.at(0));
-            in.imm = parse_u32(c.args.at(1));
+            in.a = parse_reg(arg(c, 0));
+            in.imm = parse_u32(arg(c, 1));
         } else if (c.name == "Idle") {
             in.op = TgOp::Idle;
-            in.imm = parse_u32(c.args.at(0));
+            in.imm = parse_u32(arg(c, 0));
         } else if (c.name == "IdleUntil") {
             in.op = TgOp::IdleUntil;
-            in.imm = parse_u32(c.args.at(0));
+            in.imm = parse_u32(arg(c, 0));
         } else if (c.name == "Halt") {
             in.op = TgOp::Halt;
         } else {

@@ -1,0 +1,134 @@
+// Seeded mutation tests for the three user-file parsers the tools feed:
+// tg::program_from_text (.tgp), tg::trace_from_text (.trc) and
+// tg::disassemble (.bin images). The corpus is a translated des run;
+// every case truncates, bit-flips or splices it, and the parser must
+// either accept the result or reject it with std::invalid_argument —
+// never crash, hang or throw anything else. Run under ASan/UBSan, this is
+// the parser-robustness gate.
+#include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <type_traits>
+#include <string>
+#include <vector>
+
+#include "apps/apps.hpp"
+#include "platform/platform.hpp"
+#include "sim/rng.hpp"
+#include "tg/program.hpp"
+#include "tg/trace.hpp"
+#include "tg/translator.hpp"
+
+namespace tgsim {
+namespace {
+
+constexpr int kCasesPerKind = 400;
+
+struct Corpus {
+    std::vector<std::string> programs; ///< .tgp text, one per core
+    std::vector<std::string> traces;   ///< .trc text, one per core
+    std::vector<std::vector<u32>> images;
+};
+
+const Corpus& corpus() {
+    static const Corpus c = [] {
+        const apps::Workload w = apps::make_des({3, 2});
+        platform::PlatformConfig cfg;
+        cfg.n_cores = 3;
+        cfg.collect_traces = true;
+        platform::Platform p{cfg};
+        p.load_workload(w);
+        EXPECT_TRUE(p.run(80'000'000).completed);
+        tg::TranslateOptions topt;
+        topt.polls = w.polls;
+        Corpus out;
+        for (const tg::Trace& t : p.traces()) {
+            const tg::TgProgram prog = tg::translate(t, topt).program;
+            out.programs.push_back(tg::to_text(prog));
+            out.traces.push_back(tg::to_text(t));
+            out.images.push_back(tg::assemble(prog));
+        }
+        return out;
+    }();
+    return c;
+}
+
+/// The three mutation kinds over any sequence (text or image words).
+template <typename Seq>
+Seq mutate(const std::vector<Seq>& docs, int kind, sim::Rng& rng) {
+    const Seq& a = docs[rng.below(docs.size())];
+    switch (kind) {
+        case 0: // truncate
+            return Seq(a.begin(), a.begin() + rng.below(a.size() + 1));
+        case 1: { // flip 1-4 bits
+            Seq out = a;
+            const u64 flips = rng.range(1, 4);
+            constexpr u64 kBits = 8 * sizeof(out[0]);
+            for (u64 i = 0; i < flips; ++i) {
+                auto& unit = out[rng.below(out.size())];
+                unit ^= static_cast<std::decay_t<decltype(unit)>>(
+                    u64{1} << rng.below(kBits));
+            }
+            return out;
+        }
+        default: { // splice: a prefix of one document, a suffix of another
+            const Seq& b = docs[rng.below(docs.size())];
+            Seq out(a.begin(), a.begin() + rng.below(a.size() + 1));
+            out.insert(out.end(), b.begin() + rng.below(b.size() + 1),
+                       b.end());
+            return out;
+        }
+    }
+}
+
+/// Feeds kCasesPerKind mutants of each kind to `parse`.
+template <typename Seq, typename Parse>
+void fuzz(const std::vector<Seq>& docs, u64 seed, Parse&& parse) {
+    ASSERT_FALSE(docs.empty());
+    sim::Rng rng{seed};
+    int rejected = 0;
+    for (int kind = 0; kind < 3; ++kind) {
+        for (int i = 0; i < kCasesPerKind; ++i) {
+            const Seq input = mutate(docs, kind, rng);
+            try {
+                (void)parse(input);
+            } catch (const std::invalid_argument&) {
+                ++rejected;
+            } catch (const std::exception& e) {
+                ADD_FAILURE() << "mutation kind " << kind << " case " << i
+                              << " threw a non-invalid_argument: "
+                              << e.what();
+            }
+        }
+    }
+    // The mutants must actually exercise the error paths.
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(ParserMutation, ProgramTextParsesOrRejects) {
+    fuzz(corpus().programs, 0x7470ull, [](const std::string& text) {
+        return tg::program_from_text(text);
+    });
+}
+
+TEST(ParserMutation, TraceTextParsesOrRejects) {
+    fuzz(corpus().traces, 0x747263ull, [](const std::string& text) {
+        return tg::trace_from_text(text);
+    });
+}
+
+TEST(ParserMutation, ImageDisassemblesOrRejects) {
+    fuzz(corpus().images, 0x62696eull, [](const std::vector<u32>& image) {
+        return tg::disassemble(image);
+    });
+}
+
+TEST(ParserMutation, MissingCallArgumentIsInvalidArgument) {
+    // A truncated "Write(r1, r2)" used to escape as std::out_of_range.
+    EXPECT_THROW((void)tg::program_from_text(
+                     "MASTER[0,0]\nBEGIN\n  Write(r1)\nEND\n"),
+                 std::invalid_argument);
+}
+
+} // namespace
+} // namespace tgsim

@@ -1,5 +1,6 @@
-// Shared helpers for the tgsim command-line tools: a tiny flag parser, the
-// benchmark/workload factory, and binary image file I/O.
+// Shared layer of the tgsim command-line tools (contract: docs/cli.md):
+// the option table every tool reads its command line through, the shared
+// option declarations and parsers, the benchmark table, and file I/O.
 #pragma once
 
 #include <cctype>
@@ -8,10 +9,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,10 +24,18 @@
 #include "platform/platform.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
+#include "tg/patterns.hpp"
 #include "tg/source.hpp"
 #include "tg/translator.hpp"
 
 namespace tgsim::cli {
+
+/// Prints the message to stderr and exits 1: the one way a usage error
+/// ends a tool.
+[[noreturn]] inline void die(const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(1);
+}
 
 /// Strict unsigned parse (decimal, 0x hex or 0 octal): the whole string must
 /// be consumed and in range, otherwise nullopt. Unlike bare strtoull this
@@ -42,11 +54,7 @@ namespace tgsim::cli {
 /// parse_u64 or exit(1) with a message naming the offending flag/field.
 inline u64 parse_u64_or_die(const std::string& s, const std::string& what) {
     const auto v = parse_u64(s);
-    if (!v) {
-        std::fprintf(stderr, "%s: invalid number '%s'\n", what.c_str(),
-                     s.c_str());
-        std::exit(1);
-    }
+    if (!v) die(what + ": invalid number '" + s + "'");
     return *v;
 }
 
@@ -54,265 +62,415 @@ inline u64 parse_u64_or_die(const std::string& s, const std::string& what) {
 /// silent truncation.
 inline u32 parse_u32_or_die(const std::string& s, const std::string& what) {
     const u64 v = parse_u64_or_die(s, what);
-    if (v > 0xFFFFFFFFull) {
-        std::fprintf(stderr, "%s: value '%s' out of 32-bit range\n",
-                     what.c_str(), s.c_str());
-        std::exit(1);
-    }
+    if (v > 0xFFFFFFFFull) die(what + ": value '" + s + "' out of 32-bit range");
     return static_cast<u32>(v);
 }
 
-/// Parses "--key=value" / "--flag" style arguments; positional arguments are
-/// collected in order.
-class Args {
-public:
-    Args(int argc, char** argv) {
-        for (int i = 1; i < argc; ++i) {
-            const std::string a = argv[i];
-            if (a.rfind("--", 0) == 0) {
-                const auto eq = a.find('=');
-                if (eq == std::string::npos)
-                    flags_[a.substr(2)] = "";
-                else
-                    flags_[a.substr(2, eq - 2)] = a.substr(eq + 1);
-            } else {
-                positional_.push_back(a);
-            }
-        }
-    }
-
-    [[nodiscard]] bool has(const std::string& key) const {
-        return flags_.count(key) != 0;
-    }
-    [[nodiscard]] std::string get(const std::string& key,
-                                  const std::string& fallback = "") const {
-        const auto it = flags_.find(key);
-        return it == flags_.end() ? fallback : it->second;
-    }
-    /// Numeric flag value; an unparsable value is a fatal usage error.
-    [[nodiscard]] u64 get_u64(const std::string& key, u64 fallback) const {
-        const auto it = flags_.find(key);
-        if (it == flags_.end()) return fallback;
-        return parse_u64_or_die(it->second, "--" + key);
-    }
-    /// 32-bit variant; values beyond u32 are a fatal usage error too.
-    [[nodiscard]] u32 get_u32(const std::string& key, u32 fallback) const {
-        const auto it = flags_.find(key);
-        if (it == flags_.end()) return fallback;
-        return parse_u32_or_die(it->second, "--" + key);
-    }
-    [[nodiscard]] const std::vector<std::string>& positional() const {
-        return positional_;
-    }
-    /// Every parsed "--key[=value]" pair, for the option registry's
-    /// unknown-flag rejection (OptionSet::check_or_help).
-    [[nodiscard]] const std::map<std::string, std::string>& flags() const {
-        return flags_;
-    }
-
-private:
-    std::map<std::string, std::string> flags_;
-    std::vector<std::string> positional_;
-};
-
-// ---- declarative option registry -------------------------------------
-//
-// Each tool declares its options ONCE — name, value kind, help metavar,
-// default and help line — in an OptionSet, then calls check_or_help(args)
-// before doing any work. The registry supplies the three behaviours no
-// hand-rolled parser kept consistent across tools:
-//   - `--help` rendered from the declarations themselves, so the help
-//     text cannot drift from what the tool actually accepts;
-//   - unknown --flags rejected fatally (a typo like --jobz must not
-//     silently run a default sweep for minutes);
-//   - eager validation of numeric and closed-choice values, before any
-//     simulation starts (same fail-fast contract as the typed getters,
-//     and the same diagnostics — parse_u64_or_die / enum_from formats).
-// Option *semantics* (defaults, cross-flag rules) stay in the typed
-// getters below; the registry is the declaration surface, not a second
-// parser.
-
-struct OptionSpec {
-    /// How check_or_help validates a supplied value. Text covers
-    /// open-ended forms (paths, comma lists, "WxH" specs) that the tool's
-    /// own getter validates with a context-specific diagnostic.
-    enum class Kind : u8 { Flag, Number, Text, Choice };
-    const char* name = "";    ///< flag name without the leading "--"
-    Kind kind = Kind::Text;
-    const char* arg = "";     ///< help metavar, e.g. "N", "WxH", "PATH"
-    const char* fallback = ""; ///< default rendered in help; "" = none
-    const char* help = "";    ///< one-line description
-    std::vector<const char*> choices = {}; ///< Choice: the closed token set
-};
-
-class OptionSet {
-public:
-    OptionSet(std::string tool, std::string summary)
-        : tool_(std::move(tool)), summary_(std::move(summary)) {}
-
-    OptionSet& add(OptionSpec spec) {
-        specs_.push_back(std::move(spec));
-        return *this;
-    }
-
-    [[nodiscard]] const OptionSpec* find(const std::string& name) const {
-        for (const OptionSpec& s : specs_)
-            if (name == s.name) return &s;
-        return nullptr;
-    }
-
-    void print_help(std::FILE* out) const {
-        std::fprintf(out, "usage: %s [options]\n%s\n\noptions:\n",
-                     tool_.c_str(), summary_.c_str());
-        for (const OptionSpec& s : specs_) {
-            std::string head = "  --" + std::string{s.name};
-            if (s.kind != OptionSpec::Kind::Flag) {
-                head += "=";
-                head += s.kind == OptionSpec::Kind::Choice && s.arg[0] == '\0'
-                            ? "VALUE"
-                            : s.arg;
-            }
-            std::string tail = s.help;
-            if (!s.choices.empty()) {
-                tail += " (";
-                for (std::size_t i = 0; i < s.choices.size(); ++i) {
-                    if (i > 0) tail += "|";
-                    tail += s.choices[i];
-                }
-                tail += ")";
-            }
-            if (s.fallback[0] != '\0')
-                tail += std::string{" [default "} + s.fallback + "]";
-            std::fprintf(out, "%-28s %s\n", head.c_str(), tail.c_str());
-        }
-        std::fprintf(out, "%-28s %s\n", "  --help", "show this help");
-    }
-
-    /// `--help` prints the generated help and exits 0; an undeclared flag
-    /// or an invalid Number/Choice value is a fatal usage error. Call
-    /// before any expensive work.
-    void check_or_help(const Args& args) const {
-        if (args.has("help")) {
-            print_help(stdout);
-            std::exit(0);
-        }
-        for (const auto& [name, value] : args.flags()) {
-            const OptionSpec* spec = find(name);
-            if (spec == nullptr) {
-                std::fprintf(stderr, "%s: unknown option --%s (try --help)\n",
-                             tool_.c_str(), name.c_str());
-                std::exit(1);
-            }
-            switch (spec->kind) {
-                case OptionSpec::Kind::Number:
-                    (void)parse_u64_or_die(value, "--" + name);
-                    break;
-                case OptionSpec::Kind::Choice: {
-                    bool ok = false;
-                    std::string valid;
-                    for (const char* c : spec->choices) {
-                        ok |= value == c;
-                        if (!valid.empty()) valid += ", ";
-                        valid += c;
-                    }
-                    if (!ok) {
-                        std::fprintf(stderr,
-                                     "--%s: unknown value '%s' (valid: %s)\n",
-                                     name.c_str(), value.c_str(),
-                                     valid.c_str());
-                        std::exit(1);
-                    }
-                    break;
-                }
-                case OptionSpec::Kind::Flag:
-                case OptionSpec::Kind::Text: break;
-            }
-        }
-    }
-
-private:
-    std::string tool_;
-    std::string summary_;
-    std::vector<OptionSpec> specs_;
-};
-
-/// Builds one of the paper's benchmarks by name.
-inline std::optional<apps::Workload> make_workload(const std::string& app,
-                                                   u32 cores, u32 size) {
-    if (app == "cacheloop") return apps::make_cacheloop({cores, size});
-    if (app == "sp_matrix") return apps::make_sp_matrix({size});
-    if (app == "mp_matrix") return apps::make_mp_matrix({cores, size});
-    if (app == "des") return apps::make_des({cores, size});
-    return std::nullopt;
-}
-
-/// Per-app default --size, shared by every tool that runs a benchmark.
-inline u32 default_size(const std::string& app) {
-    if (app == "cacheloop") return 100000;
-    if (app == "des") return 16;
-    return 24;
-}
-
-/// Shared sweep-style flags, parsed in one place so tgsim_sweep and the
-/// other tools cannot grow drifting copies:
-///   --jobs=N    worker threads; 0 or absent = one per hardware thread
-///   --json=PATH machine-readable report destination; empty = stdout only
-inline u32 get_jobs(const Args& args) { return args.get_u32("jobs", 0); }
-
-inline std::string json_path(const Args& args) { return args.get("json", ""); }
-
 /// Splits a comma-separated flag value ("2,4,8" -> {"2","4","8"}); empty
 /// input yields no elements.
-inline std::vector<std::string> split_list(const std::string& value) {
+inline std::vector<std::string> split_list(const std::string& value,
+                                           char sep = ',') {
     std::vector<std::string> out;
     std::istringstream ss{value};
     std::string tok;
-    while (std::getline(ss, tok, ',')) {
+    while (std::getline(ss, tok, sep)) {
         if (!tok.empty()) out.push_back(tok);
     }
     return out;
 }
 
-/// Shared string→enum dispatch: maps a value through an explicit
-/// (token, value) table, or exits listing every valid choice. The tier,
-/// process and topology flags all route through here, so the tools cannot
-/// grow drifting hand-rolled parsers with inconsistent diagnostics.
-/// `extra_choices` names accepted forms beyond the table (e.g. the
-/// topology's "file:PATH", which carries a payload and cannot be a table
-/// entry).
+/// Maps a token through an explicit (token, value) table, or exits listing
+/// every valid choice. `extra_choices` names accepted forms beyond the
+/// table (e.g. the topology's "file:PATH", which carries a payload).
 template <typename E>
 [[nodiscard]] inline E enum_from(
-    const std::string& what, const std::string& name,
-    std::initializer_list<std::pair<const char*, E>> choices,
+    const std::string& what, const std::string& token,
+    const std::vector<std::pair<std::string, E>>& table,
     const char* extra_choices = nullptr) {
-    for (const auto& choice : choices)
-        if (name == choice.first) return choice.second;
     std::string valid;
-    for (const auto& choice : choices) {
-        if (!valid.empty()) valid += ", ";
-        valid += choice.first;
+    for (const auto& [name, value] : table) {
+        if (token == name) return value;
+        valid += (valid.empty() ? "" : ", ") + name;
     }
-    if (extra_choices != nullptr) {
-        valid += ", ";
-        valid += extra_choices;
-    }
-    std::fprintf(stderr, "%s: unknown value '%s' (valid: %s)\n", what.c_str(),
-                 name.c_str(), valid.c_str());
-    std::exit(1);
+    if (extra_choices != nullptr) valid += std::string{", "} + extra_choices;
+    die(what + ": unknown value '" + token + "' (valid: " + valid + ")");
 }
 
-/// enum_from over a flag with a default, e.g.
-/// get_enum(args, "tier", "cycle", {{"cycle", Tier::Cycle}, ...}).
-template <typename E>
-[[nodiscard]] inline E get_enum(
-    const Args& args, const std::string& flag, const std::string& fallback,
-    std::initializer_list<std::pair<const char*, E>> choices) {
-    return enum_from("--" + flag, args.get(flag, fallback), choices);
+// ---- the option table --------------------------------------------------
+//
+// Each tool declares every option ONCE — name, kind, help metavar, default
+// and help line — and reads its command line only through the declaration:
+//   - `--help` is rendered from the declarations, so help cannot drift
+//     from what the tool accepts;
+//   - unknown and repeated --flags are fatal (a typo like --jobz must not
+//     silently run a default sweep for minutes);
+//   - Number and Choice values are validated before any work starts;
+//   - the typed getters take their default from the declaration, so help
+//     and behaviour cannot disagree.
+// A Choice's tokens are written once, in the (token, value) table that
+// maps them to the enum. A default that depends on another input is
+// declared empty; the tool computes it in one place and the help line
+// names the rule.
+
+class OptionSet {
+public:
+    enum class Kind : u8 { Flag, Number, Text, Choice };
+    struct Option {
+        std::string name; ///< without the leading "--"
+        Kind kind = Kind::Text;
+        std::string arg;  ///< help metavar, e.g. "N", "WxH", "PATH"
+        std::string def;  ///< default; "" = none, or computed by the tool
+        std::string help; ///< one-line description
+        std::vector<std::pair<std::string, int>> choices = {};
+        bool nonzero = false; ///< Number: 0 is a usage error
+    };
+
+    OptionSet(std::string tool, std::string summary)
+        : tool_(std::move(tool)), summary_(std::move(summary)) {}
+
+    OptionSet& add(Option option) {
+        options_.push_back(std::move(option));
+        return *this;
+    }
+    OptionSet& flag(const char* name, const char* help) {
+        return add({name, Kind::Flag, "", "", help});
+    }
+    OptionSet& number(const char* name, const char* arg, const char* def,
+                      const char* help, bool nonzero = false) {
+        return add({name, Kind::Number, arg, def, help, {}, nonzero});
+    }
+    OptionSet& text(const char* name, const char* arg, const char* def,
+                    const char* help) {
+        return add({name, Kind::Text, arg, def, help});
+    }
+    template <typename E>
+    OptionSet& choice(const char* name, const char* def, const char* help,
+                      std::initializer_list<std::pair<const char*, E>> table) {
+        Option o{name, Kind::Choice, "VALUE", def, help};
+        for (const auto& [token, value] : table)
+            o.choices.emplace_back(token, static_cast<int>(value));
+        return add(std::move(o));
+    }
+    static constexpr std::size_t kUnbounded =
+        std::numeric_limits<std::size_t>::max();
+    /// Declares the positional arguments: between `min` and `max` of them,
+    /// shown as `arg` in the help. Without a declaration a tool takes none.
+    OptionSet& positional(const char* arg, std::size_t min,
+                          std::size_t max = kUnbounded) {
+        positional_ = {arg, min, max};
+        return *this;
+    }
+
+    /// Parses "--key=value" / "--flag" arguments; the rest are positional.
+    /// `--help` prints the help and exits 0; an unknown or repeated flag, an
+    /// invalid Number or Choice value, or a wrong positional count exits 1.
+    void parse(int argc, char** argv) {
+        std::string repeated;
+        for (int i = 1; i < argc; ++i) {
+            const std::string a = argv[i];
+            if (a.rfind("--", 0) != 0) {
+                positionals_.push_back(a);
+                continue;
+            }
+            const auto eq = a.find('=');
+            const std::string name = a.substr(2, eq - 2);
+            const std::string value =
+                eq == std::string::npos ? "" : a.substr(eq + 1);
+            if (!given_.emplace(name, value).second && repeated.empty())
+                repeated = name;
+        }
+        if (has("help")) {
+            print_help(stdout);
+            std::exit(0);
+        }
+        if (!repeated.empty()) usage_error("option --" + repeated + " repeated");
+        for (const auto& [name, value] : given_) {
+            const Option* o = find(name);
+            if (o == nullptr) usage_error("unknown option --" + name);
+            if (o->kind == Kind::Number &&
+                parse_u64_or_die(value, "--" + name) == 0 && o->nonzero)
+                die("--" + name + ": must be nonzero");
+            if (o->kind == Kind::Choice)
+                (void)enum_from("--" + name, value, o->choices);
+        }
+        const auto& [arg, min, max] = positional_;
+        if (positionals_.size() < min || positionals_.size() > max) {
+            std::string count = std::to_string(min);
+            if (max != min)
+                count += max == kUnbounded ? " or more"
+                                           : " to " + std::to_string(max);
+            usage_error(max == 0 ? "takes no positional arguments"
+                                 : "takes " + count + " " + arg +
+                                       " argument(s)");
+        }
+    }
+
+    /// Was the flag given on the command line?
+    [[nodiscard]] bool has(const std::string& name) const {
+        return given_.count(name) != 0;
+    }
+    /// The given value, else the declared default.
+    [[nodiscard]] const std::string& get(const std::string& name) const {
+        const auto it = given_.find(name);
+        return it != given_.end() ? it->second : declared(name).def;
+    }
+    [[nodiscard]] u64 get_u64(const std::string& name) const {
+        return parse_u64_or_die(get(name), "--" + name);
+    }
+    [[nodiscard]] u32 get_u32(const std::string& name) const {
+        return parse_u32_or_die(get(name), "--" + name);
+    }
+    /// A Choice option's value, mapped through its declared table.
+    template <typename E>
+    [[nodiscard]] E get_choice(const std::string& name) const {
+        return static_cast<E>(
+            enum_from("--" + name, get(name), declared(name).choices));
+    }
+    [[nodiscard]] const std::vector<std::string>& positionals() const {
+        return positionals_;
+    }
+    [[nodiscard]] const std::string& tool() const { return tool_; }
+    [[nodiscard]] const Option* find(const std::string& name) const {
+        for (const Option& o : options_)
+            if (o.name == name) return &o;
+        return nullptr;
+    }
+
+    void print_help(std::FILE* out) const {
+        const auto& [arg, min, max] = positional_;
+        std::fprintf(out, "usage: %s [options]%s%s%s\n%s\n\noptions:\n",
+                     tool_.c_str(), max > 0 ? " " : "", arg.c_str(),
+                     max > 1 ? "..." : "", summary_.c_str());
+        for (const Option& o : options_) {
+            std::string head = "  --" + o.name;
+            if (o.kind != Kind::Flag) head += "=" + o.arg;
+            std::string tail = o.help;
+            for (std::size_t i = 0; i < o.choices.size(); ++i)
+                tail += (i == 0 ? " (" : "|") + o.choices[i].first;
+            if (!o.choices.empty()) tail += ")";
+            if (!o.def.empty()) tail += " [default " + o.def + "]";
+            std::fprintf(out, "%-28s %s\n", head.c_str(), tail.c_str());
+        }
+        std::fprintf(out, "%-28s %s\n", "  --help", "show this help");
+    }
+
+private:
+    struct Positional {
+        std::string arg;
+        std::size_t min = 0, max = 0;
+    };
+
+    [[noreturn]] void usage_error(const std::string& message) const {
+        die(tool_ + ": " + message + " (try --help)");
+    }
+    /// A getter on an undeclared name is a bug in the tool, not bad input.
+    [[nodiscard]] const Option& declared(const std::string& name) const {
+        const Option* o = find(name);
+        if (o == nullptr) {
+            std::fprintf(stderr, "%s: option --%s is not declared\n",
+                         tool_.c_str(), name.c_str());
+            std::abort();
+        }
+        return *o;
+    }
+
+    std::string tool_;
+    std::string summary_;
+    std::vector<Option> options_;
+    Positional positional_;
+    std::map<std::string, std::string> given_;
+    std::vector<std::string> positionals_;
+};
+
+/// Every tool's main: parses argv against `options`, then runs `body`. An
+/// exception escaping the body — a malformed input file, an unwritable
+/// output — is reported as "<tool>: <message>" with exit 1, never an abort.
+template <typename Body>
+int run(OptionSet options, int argc, char** argv, Body&& body) {
+    options.parse(argc, argv);
+    try {
+        return body(std::as_const(options));
+    } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s\n", options.tool().c_str(), e.what());
+        return 1;
+    }
+}
+
+/// Runs `load(path)`, prefixing any error with the path, so the tool
+/// reports "<tool>: <file>: <message>".
+template <typename Load>
+auto load_file(const std::string& path, Load&& load) {
+    try {
+        return load(path);
+    } catch (const std::exception& e) {
+        throw std::runtime_error{path + ": " + e.what()};
+    }
+}
+
+inline std::string read_text_file(const std::string& path) {
+    std::ifstream in{path};
+    if (!in) throw std::runtime_error{"cannot open"};
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+inline void write_text_file(const std::string& path, const std::string& text) {
+    std::ofstream out{path};
+    if (!out) throw std::runtime_error{"cannot open " + path + " for writing"};
+    out << text;
+}
+
+/// Binary image files: raw little-endian 32-bit words.
+inline void save_image(const std::vector<u32>& image, const std::string& path) {
+    std::ofstream out{path, std::ios::binary};
+    if (!out) throw std::runtime_error{"cannot open " + path + " for writing"};
+    for (const u32 w : image) {
+        const char bytes[4] = {
+            static_cast<char>(w & 0xFF), static_cast<char>((w >> 8) & 0xFF),
+            static_cast<char>((w >> 16) & 0xFF),
+            static_cast<char>((w >> 24) & 0xFF)};
+        out.write(bytes, 4);
+    }
+}
+
+inline std::vector<u32> load_image(const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    if (!in) throw std::runtime_error{"cannot open"};
+    std::vector<u32> image;
+    char bytes[4];
+    while (in.read(bytes, 4)) {
+        image.push_back(static_cast<u32>(static_cast<u8>(bytes[0])) |
+                        (static_cast<u32>(static_cast<u8>(bytes[1])) << 8) |
+                        (static_cast<u32>(static_cast<u8>(bytes[2])) << 16) |
+                        (static_cast<u32>(static_cast<u8>(bytes[3])) << 24));
+    }
+    return image;
+}
+
+// ---- shared option declarations and their parsers ----------------------
+
+/// The paper's benchmarks: the --app tokens, each with its default --size
+/// and its factory.
+struct App {
+    const char* name;
+    u32 size;
+    apps::Workload (*make)(u32 cores, u32 size);
+};
+inline constexpr App kApps[] = {
+    {"cacheloop", 100000,
+     [](u32 c, u32 s) { return apps::make_cacheloop({c, s}); }},
+    {"sp_matrix", 24, [](u32, u32 s) { return apps::make_sp_matrix({s}); }},
+    {"mp_matrix", 24,
+     [](u32 c, u32 s) { return apps::make_mp_matrix({c, s}); }},
+    {"des", 16, [](u32 c, u32 s) { return apps::make_des({c, s}); }},
+};
+
+/// Declares --app (default `app`; "" makes it optional), --cores (default
+/// `cores`; "" means the tool computes it, as `cores_help` says) and
+/// --size, whose default is the app's own size from kApps.
+inline OptionSet& add_workload_options(
+    OptionSet& set, const char* app, const char* cores,
+    const char* cores_help = "benchmark core count") {
+    OptionSet::Option o{"app", OptionSet::Kind::Choice, "NAME", app,
+                        "benchmark"};
+    std::string sizes = "benchmark problem size [default by app:";
+    for (std::size_t i = 0; i < std::size(kApps); ++i) {
+        o.choices.emplace_back(kApps[i].name, static_cast<int>(i));
+        sizes.append(" ").append(kApps[i].name).append("=");
+        sizes += std::to_string(kApps[i].size);
+    }
+    return set.add(std::move(o))
+        .number("cores", "N", cores, cores_help)
+        .number("size", "N", "", (sizes + "]").c_str());
+}
+
+/// The --app benchmark for `cores` cores at --size (the app's own size
+/// unless given).
+[[nodiscard]] inline apps::Workload get_workload(const OptionSet& o,
+                                                 u32 cores) {
+    const App& app = kApps[o.get_choice<std::size_t>("app")];
+    return app.make(cores, o.has("size") ? o.get_u32("size") : app.size);
+}
+
+inline OptionSet& add_ic_option(OptionSet& set) {
+    return set.choice<platform::IcKind>(
+        "ic", "amba", "interconnect",
+        {{"amba", platform::IcKind::Amba},
+         {"crossbar", platform::IcKind::Crossbar},
+         {"xpipes", platform::IcKind::Xpipes}});
+}
+
+inline OptionSet& add_pattern_option(OptionSet& set, const char* def,
+                                     const char* help) {
+    using tg::Pattern;
+    return set.choice<Pattern>("pattern", def, help,
+                               {{"uniform_random", Pattern::UniformRandom},
+                                {"bit_complement", Pattern::BitComplement},
+                                {"transpose", Pattern::Transpose},
+                                {"shuffle", Pattern::Shuffle},
+                                {"tornado", Pattern::Tornado},
+                                {"neighbor", Pattern::Neighbor},
+                                {"hotspot", Pattern::Hotspot}});
+}
+
+/// The funnel flags (docs/analytic.md): evaluator tier and the cycle-tier
+/// survivor budget.
+inline OptionSet& add_tier_options(OptionSet& set) {
+    return set
+        .choice<sweep::Tier>("tier", "cycle", "evaluator tier",
+                             {{"cycle", sweep::Tier::Cycle},
+                              {"analytic", sweep::Tier::Analytic},
+                              {"funnel", sweep::Tier::Funnel}})
+        .number("funnel-top", "K", "16",
+                "funnel tier: cycle-simulated survivor budget", true);
+}
+
+/// The traffic-source flags (docs/traffic.md): loop mode, and the two
+/// open-loop knobs.
+inline OptionSet& add_source_options(OptionSet& set) {
+    return set
+        .choice<tg::SourceMode>("source", "closed", "traffic-source loop mode",
+                                {{"closed", tg::SourceMode::Closed},
+                                 {"open", tg::SourceMode::Open}})
+        .number("max-outstanding", "N", "0",
+                "open loop: in-flight read packets per master NI cap"
+                " (0 = unbounded)")
+        .number("pending-limit", "N", "64",
+                "open loop: per-master pending-packet queue bound", true);
+}
+
+/// The parsed tg::SourceConfig for the flags above. Open-only knobs with
+/// --source=closed are a fatal usage error, not silently ignored (the
+/// closed generator is inherently one-outstanding; accepting the flag
+/// would misreport what ran). The offered rate is NOT set here — the
+/// sweep's --rates axis owns it (sweep::make_rate_sweep).
+[[nodiscard]] inline tg::SourceConfig get_source(const OptionSet& o) {
+    tg::SourceConfig s;
+    s.mode = o.get_choice<tg::SourceMode>("source");
+    s.max_outstanding = o.get_u32("max-outstanding");
+    s.pending_limit = o.get_u32("pending-limit");
+    if (!s.open() && (o.has("max-outstanding") || o.has("pending-limit")))
+        die("--max-outstanding/--pending-limit need --source=open");
+    return s;
+}
+
+/// Shared distributed-campaign flag (docs/sweep.md):
+///   --shard=k/N   evaluate only candidates with index % N == k (original
+///                 indices are kept, so shard reports merge byte-identically
+///                 via tgsim_merge). Absent = the whole grid.
+/// A malformed spec is a fatal usage error, never a silent full run.
+inline sweep::ShardSpec get_shard(const OptionSet& o) {
+    if (!o.has("shard")) return {};
+    const auto shard = sweep::parse_shard(o.get("shard"));
+    if (!shard)
+        die("--shard: bad spec '" + o.get("shard") +
+            "' (need k/N with k < N, e.g. 0/3)");
+    return *shard;
 }
 
 /// Parses one mesh spec: "auto" (dimensions chosen by the platform) or
-/// "WxH", e.g. "3x3". Shared by tgsim_sweep (candidate grids) and
-/// tgsim_patterns (logical core grid — which rejects "auto" itself).
+/// "WxH", e.g. "3x3".
 inline std::optional<ic::XpipesConfig> parse_mesh(const std::string& spec,
                                                   u32 fifo_depth) {
     ic::XpipesConfig mesh;
@@ -333,6 +491,15 @@ inline std::optional<ic::XpipesConfig> parse_mesh(const std::string& spec,
     return mesh;
 }
 
+/// A logical core grid flag (tgsim_patterns --mesh, tgsim_sweep --grid):
+/// "WxH" with explicit dimensions.
+inline ic::XpipesConfig get_grid(const OptionSet& o, const std::string& name) {
+    const auto grid = parse_mesh(o.get(name), 4);
+    if (!grid || grid->width == 0)
+        die("bad --" + name + " spec '" + o.get(name) + "' (WxH, e.g. 4x4)");
+    return *grid;
+}
+
 /// Strict double parse for rate lists; the whole string must be consumed,
 /// the value finite and non-negative.
 inline std::optional<double> parse_rate(const std::string& s) {
@@ -345,124 +512,36 @@ inline std::optional<double> parse_rate(const std::string& s) {
     return v;
 }
 
-/// Shared funnel flags (docs/analytic.md), parsed in one place so
-/// tgsim_sweep and future screening tools cannot grow drifting copies:
-///   --tier=cycle|analytic|funnel   evaluator tier (default cycle)
-///   --funnel-top=K                 cycle-tier survivor budget (default 16)
-/// Bad values are fatal usage errors, never silent defaults.
-inline sweep::Tier get_tier(const Args& args) {
-    return get_enum<sweep::Tier>(args, "tier", "cycle",
-                                 {{"cycle", sweep::Tier::Cycle},
-                                  {"analytic", sweep::Tier::Analytic},
-                                  {"funnel", sweep::Tier::Funnel}});
-}
-
-inline u32 get_funnel_top(const Args& args) {
-    const u32 top = args.get_u32("funnel-top", 16);
-    if (top == 0) {
-        std::fprintf(stderr, "--funnel-top: must be nonzero\n");
-        std::exit(1);
-    }
-    return top;
-}
-
-/// Shared distributed-campaign flag (docs/sweep.md), parsed in one place
-/// so tgsim_sweep and future campaign tools cannot grow drifting copies:
-///   --shard=k/N   evaluate only candidates with index % N == k (original
-///                 indices are kept, so shard reports merge byte-identically
-///                 via tgsim_merge). Absent = the whole grid.
-/// A malformed spec is a fatal usage error, never a silent full run.
-inline sweep::ShardSpec get_shard(const Args& args) {
-    const std::string spec = args.get("shard", "");
-    if (spec.empty() && !args.has("shard")) return {};
-    const auto shard = sweep::parse_shard(spec);
-    if (!shard) {
-        std::fprintf(
-            stderr,
-            "--shard: bad spec '%s' (need k/N with k < N, e.g. 0/3)\n",
-            spec.c_str());
-        std::exit(1);
-    }
-    return *shard;
-}
-
-/// Registers the shared traffic-source flags (docs/traffic.md) on a
-/// tool's option set — declared ONCE here so tgsim_patterns and
-/// tgsim_sweep cannot grow drifting spellings of the source-mode axis:
-///   --source=closed|open     loop mode (default closed: one outstanding
-///                            transaction per core, the pre-open behavior)
-///   --max-outstanding=N      open loop: cap on in-flight read packets per
-///                            master NI (0 = unbounded)
-///   --pending-limit=N        open loop: per-master pending-packet queue
-///                            bound (a full queue stalls the source)
-inline void add_source_options(OptionSet& set) {
-    set.add({"source", OptionSpec::Kind::Choice, "MODE", "closed",
-             "traffic-source loop mode", {"closed", "open"}});
-    set.add({"max-outstanding", OptionSpec::Kind::Number, "N", "0",
-             "open loop: in-flight read packets per master NI cap"
-             " (0 = unbounded)"});
-    set.add({"pending-limit", OptionSpec::Kind::Number, "N", "64",
-             "open loop: per-master pending-packet queue bound"});
-}
-
-/// The parsed tg::SourceConfig for the flags above. Open-only knobs with
-/// --source=closed are a fatal usage error, not silently ignored (the
-/// closed generator is inherently one-outstanding; accepting the flag
-/// would misreport what ran). The offered rate is NOT set here — the
-/// sweep's --rates axis owns it (sweep::make_rate_sweep).
-[[nodiscard]] inline tg::SourceConfig get_source(const Args& args) {
-    tg::SourceConfig s;
-    s.mode = get_enum<tg::SourceMode>(
-        args, "source", "closed",
-        {{"closed", tg::SourceMode::Closed}, {"open", tg::SourceMode::Open}});
-    s.max_outstanding = args.get_u32("max-outstanding", 0);
-    s.pending_limit = args.get_u32("pending-limit", 64);
-    if (!s.open() &&
-        (args.has("max-outstanding") || args.has("pending-limit"))) {
-        std::fprintf(stderr,
-                     "--max-outstanding/--pending-limit need --source=open\n");
-        std::exit(1);
-    }
-    if (s.pending_limit == 0) {
-        std::fprintf(stderr, "--pending-limit: must be nonzero\n");
-        std::exit(1);
-    }
-    return s;
-}
-
-/// Shared fault-injection flags (docs/faults.md), parsed in one place so
-/// tgsim_patterns and tgsim_sweep cannot grow drifting copies:
-///   --fault-rate=R[,R2,...]  total per-flit fault probability in [0, 1],
-///                            split evenly across corruption, drop and
-///                            transient-stall faults; 0 (the default)
-///                            disables the fault layer entirely.
-///                            tgsim_sweep pattern mode crosses a comma list
-///                            into the candidate grid as a sweep axis.
-///   --fault-seed=N           base seed of the deterministic fault stream
-///                            (default 0); a fixed seed reproduces the same
-///                            fault sites at any --jobs and in any --shard.
-[[nodiscard]] inline std::vector<double> get_fault_rates(const Args& args) {
-    std::vector<double> out;
-    for (const std::string& tok :
-         split_list(args.get("fault-rate", "0"))) {
+/// The --rates offered-rate ladder: entries in (0, 1], strictly ascending
+/// (find_saturation reads it in order, and sweep rows group into
+/// per-fabric load-latency curves).
+[[nodiscard]] inline std::vector<double> get_rates(const OptionSet& o) {
+    std::vector<double> rates;
+    for (const std::string& tok : split_list(o.get("rates"))) {
         const auto r = parse_rate(tok);
-        if (!r || *r > 1.0) {
-            std::fprintf(stderr,
-                         "bad --fault-rate entry '%s' (need [0, 1])\n",
-                         tok.c_str());
-            std::exit(1);
-        }
+        if (!r || *r <= 0.0 || *r > 1.0)
+            die("bad --rates entry '" + tok + "' (need (0,1])");
+        if (!rates.empty() && *r <= rates.back())
+            die("--rates must be strictly ascending");
+        rates.push_back(*r);
+    }
+    if (rates.empty()) die("--rates is empty");
+    return rates;
+}
+
+/// --fault-rate=R[,R2,...] (docs/faults.md): total per-flit fault
+/// probabilities in [0, 1], split evenly across corruption, drop and
+/// transient-stall faults; 0 disables the fault layer entirely.
+[[nodiscard]] inline std::vector<double> get_fault_rates(const OptionSet& o) {
+    std::vector<double> out;
+    for (const std::string& tok : split_list(o.get("fault-rate"))) {
+        const auto r = parse_rate(tok);
+        if (!r || *r > 1.0)
+            die("bad --fault-rate entry '" + tok + "' (need [0, 1])");
         out.push_back(*r);
     }
-    if (out.empty()) {
-        std::fprintf(stderr, "--fault-rate is empty\n");
-        std::exit(1);
-    }
+    if (out.empty()) die("--fault-rate is empty");
     return out;
-}
-
-[[nodiscard]] inline u64 get_fault_seed(const Args& args) {
-    return args.get_u64("fault-seed", 0);
 }
 
 /// FaultConfig for one axis point: the total rate is split evenly across
@@ -473,73 +552,6 @@ inline void add_source_options(OptionSet& set) {
     f.corrupt_rate = f.drop_rate = f.stall_rate = rate / 3.0;
     f.seed = seed;
     return f;
-}
-
-inline std::optional<platform::IcKind> parse_ic(const std::string& name) {
-    if (name == "amba") return platform::IcKind::Amba;
-    if (name == "crossbar") return platform::IcKind::Crossbar;
-    if (name == "xpipes") return platform::IcKind::Xpipes;
-    return std::nullopt;
-}
-
-inline std::optional<tg::TgMode> parse_mode(const std::string& name) {
-    if (name == "clone") return tg::TgMode::Clone;
-    if (name == "timeshift") return tg::TgMode::Timeshift;
-    if (name == "reactive") return tg::TgMode::Reactive;
-    return std::nullopt;
-}
-
-/// Binary image files: raw little-endian 32-bit words.
-inline void save_image(const std::vector<u32>& image, const std::string& path) {
-    std::ofstream out{path, std::ios::binary};
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        std::exit(1);
-    }
-    for (const u32 w : image) {
-        const char bytes[4] = {
-            static_cast<char>(w & 0xFF), static_cast<char>((w >> 8) & 0xFF),
-            static_cast<char>((w >> 16) & 0xFF),
-            static_cast<char>((w >> 24) & 0xFF)};
-        out.write(bytes, 4);
-    }
-}
-
-inline std::vector<u32> load_image(const std::string& path) {
-    std::ifstream in{path, std::ios::binary};
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        std::exit(1);
-    }
-    std::vector<u32> image;
-    char bytes[4];
-    while (in.read(bytes, 4)) {
-        image.push_back(static_cast<u32>(static_cast<u8>(bytes[0])) |
-                        (static_cast<u32>(static_cast<u8>(bytes[1])) << 8) |
-                        (static_cast<u32>(static_cast<u8>(bytes[2])) << 16) |
-                        (static_cast<u32>(static_cast<u8>(bytes[3])) << 24));
-    }
-    return image;
-}
-
-inline std::string read_text_file(const std::string& path) {
-    std::ifstream in{path};
-    if (!in) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        std::exit(1);
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-inline void write_text_file(const std::string& path, const std::string& text) {
-    std::ofstream out{path};
-    if (!out) {
-        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
-        std::exit(1);
-    }
-    out << text;
 }
 
 /// One parsed --topology token (docs/topology.md):
@@ -561,40 +573,30 @@ struct TopologyChoice {
     TopologyChoice out;
     if (token.rfind("file:", 0) == 0) {
         const std::string path = token.substr(5);
-        if (path.empty()) {
-            std::fprintf(stderr, "%s: empty graph path in '%s'\n",
-                         what.c_str(), token.c_str());
-            std::exit(1);
-        }
+        if (path.empty()) die(what + ": empty graph path in '" + token + "'");
         std::string err;
-        auto spec = ic::parse_graph(read_text_file(path), path, &err);
-        if (!spec) {
-            std::fprintf(stderr, "%s: %s\n", what.c_str(), err.c_str());
-            std::exit(1);
-        }
+        auto spec = ic::parse_graph(load_file(path, read_text_file), path,
+                                    &err);
+        if (!spec) die(what + ": " + err);
         out.kind = ic::TopologyKind::Table;
         out.graph = std::make_shared<const ic::GraphSpec>(std::move(*spec));
         return out;
     }
     out.kind = enum_from<ic::TopologyKind>(
         what, token,
-        {{"mesh", ic::TopologyKind::Mesh},
-         {"torus", ic::TopologyKind::Torus}},
+        {{"mesh", ic::TopologyKind::Mesh}, {"torus", ic::TopologyKind::Torus}},
         "file:PATH");
     return out;
 }
 
 /// The --topology axis: a comma list for tgsim_sweep's candidate grid, a
-/// single value for tgsim_patterns. Default is the plain mesh.
+/// single value for tgsim_patterns.
 [[nodiscard]] inline std::vector<TopologyChoice> get_topologies(
-    const Args& args) {
+    const OptionSet& o) {
     std::vector<TopologyChoice> out;
-    for (const std::string& tok : split_list(args.get("topology", "mesh")))
+    for (const std::string& tok : split_list(o.get("topology")))
         out.push_back(parse_topology_or_die(tok, "--topology"));
-    if (out.empty()) {
-        std::fprintf(stderr, "--topology is empty\n");
-        std::exit(1);
-    }
+    if (out.empty()) die("--topology is empty");
     return out;
 }
 
@@ -615,38 +617,28 @@ inline void check_fabric_capacity(const ic::XpipesConfig& fabric, u32 n_cores,
     }
     const u32 needed = platform::xpipes_nodes_needed(n_cores);
     if (nodes < needed) {
-        std::fprintf(stderr,
-                     "%s: %u node(s) cannot host the %u-core grid plus 2 "
-                     "shared slaves (need >= %u nodes)\n",
-                     what.c_str(), nodes, n_cores, needed);
-        std::exit(1);
+        die(what + ": " + std::to_string(nodes) +
+            " node(s) cannot host the " + std::to_string(n_cores) +
+            "-core grid plus 2 shared slaves (need >= " +
+            std::to_string(needed) + " nodes)");
     }
 }
 
-/// Parses repeated --poll=base:size:retry_cmp:value:idle specs, e.g.
-/// --poll=0x30000000:256:eq:0:1
-inline std::vector<tg::PollSpec> parse_polls(const std::vector<std::string>& raw) {
+/// Parses a --poll value: a comma list of base:size:retry_cmp:value:idle
+/// specs, e.g. --poll=0x30000000:256:eq:0:1,0x30001000:4:ne:1:2
+inline std::vector<tg::PollSpec> parse_polls(const std::string& value) {
     std::vector<tg::PollSpec> polls;
-    for (const std::string& spec : raw) {
-        std::vector<std::string> parts;
-        std::istringstream ss{spec};
-        std::string tok;
-        while (std::getline(ss, tok, ':')) parts.push_back(tok);
-        if (parts.size() != 5) {
-            std::fprintf(stderr, "bad --poll spec '%s'\n", spec.c_str());
-            std::exit(1);
-        }
+    for (const std::string& spec : split_list(value)) {
+        const std::vector<std::string> parts = split_list(spec, ':');
+        if (parts.size() != 5) die("bad --poll spec '" + spec + "'");
         tg::PollSpec p;
         p.base = parse_u32_or_die(parts[0], "--poll base");
         p.size = parse_u32_or_die(parts[1], "--poll size");
-        if (parts[2] == "eq") p.retry_cmp = tg::TgCmp::Eq;
-        else if (parts[2] == "ne") p.retry_cmp = tg::TgCmp::Ne;
-        else if (parts[2] == "ltu") p.retry_cmp = tg::TgCmp::Ltu;
-        else if (parts[2] == "geu") p.retry_cmp = tg::TgCmp::Geu;
-        else {
-            std::fprintf(stderr, "bad --poll cmp '%s'\n", parts[2].c_str());
-            std::exit(1);
-        }
+        p.retry_cmp = enum_from<tg::TgCmp>("--poll cmp", parts[2],
+                                           {{"eq", tg::TgCmp::Eq},
+                                            {"ne", tg::TgCmp::Ne},
+                                            {"ltu", tg::TgCmp::Ltu},
+                                            {"geu", tg::TgCmp::Geu}});
         p.retry_value = parse_u32_or_die(parts[3], "--poll value");
         p.inter_poll_idle = parse_u32_or_die(parts[4], "--poll idle");
         polls.push_back(p);

@@ -29,26 +29,22 @@
 
 using namespace tgsim;
 
-int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    cli::OptionSet options{"tgsim-merge",
-                           "merge shard reports into the canonical "
-                           "single-run report; positional args are the "
-                           "shard reports"};
-    options.add({"json", cli::OptionSpec::Kind::Text, "OUT", "",
-                 "output report (default: stdout)"});
-    options.check_or_help(args);
-    if (args.positional().empty()) {
-        std::fprintf(stderr,
-                     "usage: tgsim_merge [--json=OUT] shard0.json ... "
-                     "shardN-1.json\n");
-        return 1;
-    }
+namespace {
 
+cli::OptionSet options() {
+    cli::OptionSet set{"tgsim_merge",
+                       "merge shard reports into the canonical single-run "
+                       "report"};
+    set.positional("SHARD.json", 1)
+        .text("json", "OUT", "", "output report (empty: stdout)");
+    return set;
+}
+
+int run(const cli::OptionSet& o) {
     std::vector<sweep::ParsedReport> shards;
-    shards.reserve(args.positional().size());
+    shards.reserve(o.positionals().size());
     std::string err;
-    for (const std::string& path : args.positional()) {
+    for (const std::string& path : o.positionals()) {
         auto report = sweep::parse_report_file(path, &err);
         if (!report) {
             std::fprintf(stderr, "tgsim_merge: %s\n", err.c_str());
@@ -63,7 +59,7 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    const std::string json = cli::json_path(args);
+    const std::string& json = o.get("json");
     if (json.empty()) {
         if (!sweep::json_report_to(stdout, merged->rows, merged->meta)) {
             std::fprintf(stderr, "tgsim_merge: short write to stdout\n");
@@ -77,6 +73,10 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::fprintf(stderr, "merged %zu shards, %zu candidates -> %s\n",
-                 args.positional().size(), merged->rows.size(), json.c_str());
+                 o.positionals().size(), merged->rows.size(), json.c_str());
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return cli::run(options(), argc, argv, run); }

@@ -50,118 +50,66 @@ using namespace tgsim;
 namespace {
 
 cli::OptionSet options() {
-    using K = cli::OptionSpec::Kind;
     cli::OptionSet set{
-        "tgsim-patterns",
+        "tgsim_patterns",
         "synthetic traffic-pattern sweeps with load-latency instrumentation"};
-    set.add({"pattern", K::Choice, "NAME", "uniform_random",
-             "traffic pattern",
-             {"uniform_random", "bit_complement", "transpose", "shuffle",
-              "tornado", "neighbor", "hotspot"}})
-        .add({"mesh", K::Text, "WxH", "4x4", "logical core grid"})
-        .add({"rates", K::Text, "R,R,...",
+    cli::add_pattern_option(set, "uniform_random", "traffic pattern")
+        .text("mesh", "WxH", "4x4", "logical core grid")
+        .text("rates", "R,R,...",
               "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64,1.0",
-              "offered-rate ladder, strictly ascending"})
-        .add({"process", K::Choice, "NAME", "poisson", "arrival process",
-              {"poisson", "uniform", "bursty"}})
-        .add({"packets", K::Number, "N", "2000", "transactions per core"})
-        .add({"reads", K::Text, "F", "0.5", "read fraction in [0, 1]"})
-        .add({"burst-frac", K::Text, "F", "0",
-              "fraction of transactions that burst"})
-        .add({"burst-len", K::Number, "N", "4", "beats per burst"})
-        .add({"hotspot", K::Number, "CORE", "0", "hotspot destination core"})
-        .add({"hotspot-frac", K::Text, "F", "0.5",
-              "share of traffic aimed at the hotspot"})
-        .add({"fifo", K::Number, "N", "4", "router FIFO depth"})
-        .add({"topology", K::Text, "KIND", "mesh",
-              "fabric topology: mesh|torus|file:PATH"})
-        .add({"fault-rate", K::Text, "R", "0",
-              "total per-flit fault probability in [0, 1]"})
-        .add({"fault-seed", K::Number, "N", "0",
-              "deterministic fault-stream seed"})
-        .add({"jobs", K::Number, "N", "0",
-              "worker threads (0 = one per hardware thread)"})
-        .add({"json", K::Text, "PATH", "", "machine-readable report"})
-        .add({"max-cycles", K::Number, "N", "100000000",
-              "per-candidate cycle budget"});
+              "offered-rate ladder, strictly ascending")
+        .choice<tg::ArrivalProcess>("process", "poisson", "arrival process",
+                                    {{"poisson", tg::ArrivalProcess::Poisson},
+                                     {"uniform", tg::ArrivalProcess::Uniform},
+                                     {"bursty", tg::ArrivalProcess::Bursty}})
+        .number("packets", "N", "2000", "transactions per core")
+        .text("reads", "F", "0.5", "read fraction in [0, 1]")
+        .text("burst-frac", "F", "0", "fraction of transactions that burst")
+        .number("burst-len", "N", "4", "beats per burst")
+        .number("hotspot", "CORE", "0", "hotspot destination core")
+        .text("hotspot-frac", "F", "0.5",
+              "share of traffic aimed at the hotspot")
+        .number("fifo", "N", "4", "router FIFO depth")
+        .text("topology", "KIND", "mesh",
+              "fabric topology: mesh|torus|file:PATH")
+        .text("fault-rate", "R", "0",
+              "total per-flit fault probability in [0, 1]")
+        .number("fault-seed", "N", "0", "deterministic fault-stream seed")
+        .number("jobs", "N", "0",
+                "worker threads (0 = one per hardware thread)")
+        .text("json", "PATH", "", "machine-readable report")
+        .number("max-cycles", "N", "100000000", "per-candidate cycle budget");
     cli::add_source_options(set);
     return set;
 }
 
-} // namespace
+/// A fraction flag in [0, 1]; anything else is a usage error.
+double get_fraction(const cli::OptionSet& o, const std::string& name) {
+    const auto f = cli::parse_rate(o.get(name));
+    if (!f || *f > 1.0) cli::die("bad fraction flag (must be in [0, 1])");
+    return *f;
+}
 
-int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
-
-    const std::string pattern_name = args.get("pattern", "uniform_random");
-    const auto pattern = tg::parse_pattern(pattern_name);
-    if (!pattern) {
-        std::fprintf(stderr,
-                     "unknown --pattern '%s' (uniform_random|bit_complement|"
-                     "transpose|shuffle|tornado|neighbor|hotspot)\n",
-                     pattern_name.c_str());
-        return 1;
-    }
-
-    const std::string mesh_spec = args.get("mesh", "4x4");
-    const u32 fifo = args.get_u32("fifo", 4);
-    const auto mesh = cli::parse_mesh(mesh_spec, fifo);
-    if (!mesh || mesh->width == 0) { // patterns need explicit dimensions
-        std::fprintf(stderr, "bad --mesh spec '%s' (WxH, e.g. 4x4)\n",
-                     mesh_spec.c_str());
-        return 1;
-    }
+int run(const cli::OptionSet& o) {
+    const ic::XpipesConfig grid = cli::get_grid(o, "mesh");
+    const u32 fifo = o.get_u32("fifo");
 
     tg::PatternConfig pc;
-    pc.pattern = *pattern;
-    pc.width = mesh->width;
-    pc.height = mesh->height;
-    const std::string process = args.get("process", "poisson");
-    pc.process = cli::get_enum<tg::ArrivalProcess>(
-        args, "process", "poisson",
-        {{"poisson", tg::ArrivalProcess::Poisson},
-         {"uniform", tg::ArrivalProcess::Uniform},
-         {"bursty", tg::ArrivalProcess::Bursty}});
-    pc.packets_per_core = args.get_u64("packets", 2000);
-    pc.burst_len = static_cast<u16>(args.get_u32("burst-len", 4));
-    pc.hotspot_core = args.get_u32("hotspot", 0);
-    if (const std::string v = args.get("reads", ""); !v.empty())
-        pc.read_fraction = cli::parse_rate(v).value_or(-1.0);
-    if (const std::string v = args.get("burst-frac", ""); !v.empty())
-        pc.burst_fraction = cli::parse_rate(v).value_or(-1.0);
-    if (const std::string v = args.get("hotspot-frac", ""); !v.empty())
-        pc.hotspot_fraction = cli::parse_rate(v).value_or(-1.0);
-    if (pc.read_fraction < 0.0 || pc.read_fraction > 1.0 ||
-        pc.burst_fraction < 0.0 || pc.burst_fraction > 1.0 ||
-        pc.hotspot_fraction < 0.0 || pc.hotspot_fraction > 1.0) {
-        std::fprintf(stderr, "bad fraction flag (must be in [0, 1])\n");
-        return 1;
-    }
+    pc.pattern = o.get_choice<tg::Pattern>("pattern");
+    pc.width = grid.width;
+    pc.height = grid.height;
+    pc.process = o.get_choice<tg::ArrivalProcess>("process");
+    pc.packets_per_core = o.get_u64("packets");
+    pc.burst_len = static_cast<u16>(o.get_u32("burst-len"));
+    pc.hotspot_core = o.get_u32("hotspot");
+    pc.read_fraction = get_fraction(o, "reads");
+    pc.burst_fraction = get_fraction(o, "burst-frac");
+    pc.hotspot_fraction = get_fraction(o, "hotspot-frac");
 
-    // Offered-rate ladder, ascending (find_saturation reads it in order).
-    std::vector<double> rates;
-    for (const std::string& tok : cli::split_list(args.get(
-             "rates", "0.005,0.01,0.02,0.04,0.08,0.16,0.32,0.64,1.0"))) {
-        const auto r = cli::parse_rate(tok);
-        if (!r || *r <= 0.0 || *r > 1.0) {
-            std::fprintf(stderr, "bad --rates entry '%s' (need (0,1])\n",
-                         tok.c_str());
-            return 1;
-        }
-        if (!rates.empty() && *r <= rates.back()) {
-            std::fprintf(stderr, "--rates must be strictly ascending\n");
-            return 1;
-        }
-        rates.push_back(*r);
-    }
-    if (rates.empty()) {
-        std::fprintf(stderr, "--rates is empty\n");
-        return 1;
-    }
+    const std::vector<double> rates = cli::get_rates(o);
     pc.injection_rate = rates.front();
 
-    const auto fault_rates = cli::get_fault_rates(args);
+    const auto fault_rates = cli::get_fault_rates(o);
     if (fault_rates.size() != 1) {
         std::fprintf(stderr,
                      "tgsim_patterns takes a single --fault-rate; use "
@@ -169,9 +117,9 @@ int main(int argc, char** argv) {
         return 1;
     }
     const double fault_rate = fault_rates.front();
-    const u64 fault_seed = cli::get_fault_seed(args);
+    const u64 fault_seed = o.get_u64("fault-seed");
 
-    const tg::SourceConfig source = cli::get_source(args);
+    const tg::SourceConfig source = cli::get_source(o);
     if (source.open() && fault_rate > 0.0) {
         // The open-loop NI and the fault retry protocol both own the tx
         // queue; the combination is rejected at configure time, so fail at
@@ -183,7 +131,7 @@ int main(int argc, char** argv) {
     }
 
     const u32 n_cores = pc.width * pc.height;
-    const std::string topology_spec = args.get("topology", "mesh");
+    const std::string& topology_spec = o.get("topology");
     const cli::TopologyChoice topo =
         cli::parse_topology_or_die(topology_spec, "--topology");
     platform::PlatformConfig base;
@@ -203,132 +151,131 @@ int main(int argc, char** argv) {
     context.name = "pattern_" + std::string{tg::to_string(pc.pattern)};
 
     sweep::SweepOptions opts;
-    opts.jobs = cli::get_jobs(args);
-    opts.max_cycles = args.get_u64("max-cycles", 100'000'000);
+    opts.jobs = o.get_u32("jobs");
+    opts.max_cycles = o.get_u64("max-cycles");
 
-    std::vector<sweep::SweepResult> results;
-    try {
-        const sweep::SweepDriver driver{pc, context};
-        const auto candidates = sweep::make_rate_sweep(base, rates, source);
-        const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
-        std::printf("%s on a %ux%u core grid (%ux%u mesh, fifo %u), "
-                    "%llu packets/core, %s arrivals, %s sources, %u workers\n\n",
-                    std::string{tg::to_string(pc.pattern)}.c_str(), pc.width,
-                    pc.height, base.xpipes.width, base.xpipes.height, fifo,
-                    static_cast<unsigned long long>(pc.packets_per_core),
-                    process.c_str(),
-                    std::string{tg::to_string(source.mode)}.c_str(), jobs);
-        results = driver.run(candidates, opts);
+    const sweep::SweepDriver driver{pc, context};
+    const auto candidates = sweep::make_rate_sweep(base, rates, source);
+    const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
+    std::printf("%s on a %ux%u core grid (%ux%u mesh, fifo %u), "
+                "%llu packets/core, %s arrivals, %s sources, %u workers\n\n",
+                std::string{tg::to_string(pc.pattern)}.c_str(), pc.width,
+                pc.height, base.xpipes.width, base.xpipes.height, fifo,
+                static_cast<unsigned long long>(pc.packets_per_core),
+                o.get("process").c_str(),
+                std::string{tg::to_string(source.mode)}.c_str(), jobs);
+    const std::vector<sweep::SweepResult> results =
+        driver.run(candidates, opts);
 
-        std::printf("%-12s %10s %10s %9s %8s %8s %8s %10s\n", "candidate",
-                    "offered", "accepted", "mean lat", "p50", "p99",
-                    "max", "NI wait");
-        bool setup_error = false;
-        for (const sweep::SweepResult& r : results) {
-            if (r.failure == sweep::FailureKind::SetupError) {
-                std::printf("%-12s SETUP ERROR: %s\n", r.name.c_str(),
-                            r.error.c_str());
-                setup_error = true;
-                continue;
-            }
-            if (!r.ok()) {
-                std::printf("%-12s %s\n", r.name.c_str(), r.error.c_str());
-                continue;
-            }
-            std::printf("%-12s %10.4f %10.4f %9.1f %8llu %8llu %8llu %10llu\n",
-                        r.name.c_str(), r.offered_rate, r.accepted_rate,
-                        r.lat_mean,
-                        static_cast<unsigned long long>(r.lat_p50),
-                        static_cast<unsigned long long>(r.lat_p99),
-                        static_cast<unsigned long long>(r.lat_max),
-                        static_cast<unsigned long long>(r.contention_cycles));
+    std::printf("%-12s %10s %10s %9s %8s %8s %8s %10s\n", "candidate",
+                "offered", "accepted", "mean lat", "p50", "p99",
+                "max", "NI wait");
+    bool setup_error = false;
+    for (const sweep::SweepResult& r : results) {
+        if (r.failure == sweep::FailureKind::SetupError) {
+            std::printf("%-12s SETUP ERROR: %s\n", r.name.c_str(),
+                        r.error.c_str());
+            setup_error = true;
+            continue;
         }
-
-        if (faults_on) {
-            std::printf("\n%-12s %10s %10s %8s %8s %8s %8s\n", "candidate",
-                        "injected", "delivered", "recov", "retries", "lost",
-                        "dropped");
-            for (const sweep::SweepResult& r : results) {
-                if (!r.ok() || !r.has_faults) continue;
-                std::printf(
-                    "%-12s %10llu %9.4f%% %8llu %8llu %8llu %8llu\n",
-                    r.name.c_str(),
-                    static_cast<unsigned long long>(r.fault_injected),
-                    100.0 * r.delivered_ratio,
-                    static_cast<unsigned long long>(r.fault_recovered),
-                    static_cast<unsigned long long>(r.fault_retries),
-                    static_cast<unsigned long long>(r.fault_lost),
-                    static_cast<unsigned long long>(r.fault_dropped));
-            }
+        if (!r.ok()) {
+            std::printf("%-12s %s\n", r.name.c_str(), r.error.c_str());
+            continue;
         }
-
-        if (source.open()) {
-            // The open-loop split: in-network latency is the saturation
-            // signal; source-queue latency shows where offered load waits.
-            std::printf("\n%-12s %10s %8s %8s %10s %10s %9s\n", "candidate",
-                        "net mean", "net p50", "net p99", "srcq mean",
-                        "srcq p99", "pend pk");
-            for (const sweep::SweepResult& r : results) {
-                if (!r.ok() || !r.has_open) continue;
-                std::printf(
-                    "%-12s %10.1f %8llu %8llu %10.1f %10llu %9llu\n",
-                    r.name.c_str(), r.net_lat_mean,
-                    static_cast<unsigned long long>(r.net_lat_p50),
-                    static_cast<unsigned long long>(r.net_lat_p99),
-                    r.sq_lat_mean,
-                    static_cast<unsigned long long>(r.sq_lat_p99),
-                    static_cast<unsigned long long>(r.pending_peak));
-            }
-        }
-
-        const sweep::SaturationPoint sat = sweep::find_saturation(results);
-        if (sat.found)
-            std::printf("\nsaturation at offered %.4f: throughput %.4f "
-                        "txn/core/cycle (mean latency %.1f cycles)\n",
-                        sat.offered, sat.throughput, sat.mean_latency);
-        else
-            std::printf("\nno saturation in the swept range; max accepted "
-                        "%.4f txn/core/cycle at offered %.4f\n",
-                        sat.throughput, sat.offered);
-
-        const std::string json = cli::json_path(args);
-        if (!json.empty()) {
-            sweep::SweepMeta meta;
-            meta.app = context.name + " " + mesh_spec;
-            // Source mode is campaign identity (docs/traffic.md): open and
-            // closed shards must never merge or resume into each other.
-            // describe() is empty for closed sources, so pre-open reports
-            // stay byte-identical.
-            meta.app += tg::describe(source);
-            if (topo.kind != ic::TopologyKind::Mesh) {
-                // Topology is campaign identity (docs/topology.md); mesh
-                // runs keep the pre-topology app string byte-identical.
-                meta.app += " topo=" + topology_spec;
-            }
-            if (faults_on) {
-                // The fault axis is campaign identity: reports that differ
-                // in it must never merge or resume into each other.
-                char fb[48];
-                std::snprintf(fb, sizeof fb, " fault=%.4g@%llu", fault_rate,
-                              static_cast<unsigned long long>(fault_seed));
-                meta.app += fb;
-            }
-            meta.n_cores = n_cores;
-            meta.jobs = jobs;
-            meta.max_cycles = opts.max_cycles;
-            meta.tier = opts.tier;
-            meta.seed = opts.seed;
-            meta.n_candidates = static_cast<u32>(results.size());
-            if (!sweep::write_json_report(results, meta, json)) {
-                std::fprintf(stderr, "failed to write %s\n", json.c_str());
-                return 1;
-            }
-            std::printf("wrote %s (%zu rate points)\n", json.c_str(),
-                        results.size());
-        }
-        return setup_error ? 1 : 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        std::printf("%-12s %10.4f %10.4f %9.1f %8llu %8llu %8llu %10llu\n",
+                    r.name.c_str(), r.offered_rate, r.accepted_rate,
+                    r.lat_mean,
+                    static_cast<unsigned long long>(r.lat_p50),
+                    static_cast<unsigned long long>(r.lat_p99),
+                    static_cast<unsigned long long>(r.lat_max),
+                    static_cast<unsigned long long>(r.contention_cycles));
     }
+
+    if (faults_on) {
+        std::printf("\n%-12s %10s %10s %8s %8s %8s %8s\n", "candidate",
+                    "injected", "delivered", "recov", "retries", "lost",
+                    "dropped");
+        for (const sweep::SweepResult& r : results) {
+            if (!r.ok() || !r.has_faults) continue;
+            std::printf(
+                "%-12s %10llu %9.4f%% %8llu %8llu %8llu %8llu\n",
+                r.name.c_str(),
+                static_cast<unsigned long long>(r.fault_injected),
+                100.0 * r.delivered_ratio,
+                static_cast<unsigned long long>(r.fault_recovered),
+                static_cast<unsigned long long>(r.fault_retries),
+                static_cast<unsigned long long>(r.fault_lost),
+                static_cast<unsigned long long>(r.fault_dropped));
+        }
+    }
+
+    if (source.open()) {
+        // The open-loop split: in-network latency is the saturation
+        // signal; source-queue latency shows where offered load waits.
+        std::printf("\n%-12s %10s %8s %8s %10s %10s %9s\n", "candidate",
+                    "net mean", "net p50", "net p99", "srcq mean",
+                    "srcq p99", "pend pk");
+        for (const sweep::SweepResult& r : results) {
+            if (!r.ok() || !r.has_open) continue;
+            std::printf(
+                "%-12s %10.1f %8llu %8llu %10.1f %10llu %9llu\n",
+                r.name.c_str(), r.net_lat_mean,
+                static_cast<unsigned long long>(r.net_lat_p50),
+                static_cast<unsigned long long>(r.net_lat_p99),
+                r.sq_lat_mean,
+                static_cast<unsigned long long>(r.sq_lat_p99),
+                static_cast<unsigned long long>(r.pending_peak));
+        }
+    }
+
+    const sweep::SaturationPoint sat = sweep::find_saturation(results);
+    if (sat.found)
+        std::printf("\nsaturation at offered %.4f: throughput %.4f "
+                    "txn/core/cycle (mean latency %.1f cycles)\n",
+                    sat.offered, sat.throughput, sat.mean_latency);
+    else
+        std::printf("\nno saturation in the swept range; max accepted "
+                    "%.4f txn/core/cycle at offered %.4f\n",
+                    sat.throughput, sat.offered);
+
+    const std::string& json = o.get("json");
+    if (!json.empty()) {
+        sweep::SweepMeta meta;
+        meta.app = context.name + " " + o.get("mesh");
+        // Source mode is campaign identity (docs/traffic.md): open and
+        // closed shards must never merge or resume into each other.
+        // describe() is empty for closed sources, so pre-open reports
+        // stay byte-identical.
+        meta.app += tg::describe(source);
+        if (topo.kind != ic::TopologyKind::Mesh) {
+            // Topology is campaign identity (docs/topology.md); mesh
+            // runs keep the pre-topology app string byte-identical.
+            meta.app += " topo=" + topology_spec;
+        }
+        if (faults_on) {
+            // The fault axis is campaign identity: reports that differ
+            // in it must never merge or resume into each other.
+            char fb[48];
+            std::snprintf(fb, sizeof fb, " fault=%.4g@%llu", fault_rate,
+                          static_cast<unsigned long long>(fault_seed));
+            meta.app += fb;
+        }
+        meta.n_cores = n_cores;
+        meta.jobs = jobs;
+        meta.max_cycles = opts.max_cycles;
+        meta.tier = opts.tier;
+        meta.seed = opts.seed;
+        meta.n_candidates = static_cast<u32>(results.size());
+        if (!sweep::write_json_report(results, meta, json)) {
+            std::fprintf(stderr, "failed to write %s\n", json.c_str());
+            return 1;
+        }
+        std::printf("wrote %s (%zu rate points)\n", json.c_str(),
+                    results.size());
+    }
+    return setup_error ? 1 : 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return cli::run(options(), argc, argv, run); }

@@ -22,68 +22,46 @@ using namespace tgsim;
 namespace {
 
 cli::OptionSet options() {
-    using K = cli::OptionSpec::Kind;
-    cli::OptionSet set{"tgsim-replay",
+    cli::OptionSet set{"tgsim_replay",
                        "replay .tgp programs on a TG platform (a "
-                       "one-candidate sweep); positional args are the "
-                       "per-core program files"};
+                       "one-candidate sweep)"};
     // No --source axis here: a translated trace replays a closed-loop
     // execution by construction (its gaps encode the recorded
     // dependencies), so open-loop injection is a pattern-mode concept.
-    set.add({"ic", K::Choice, "KIND", "amba", "interconnect",
-             {"amba", "crossbar", "xpipes"}})
-        .add({"app", K::Choice, "NAME", "",
-              "benchmark environment + result checks",
-              {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
-        .add({"cores", K::Number, "N", "", "benchmark core count"})
-        .add({"size", K::Number, "N", "", "benchmark problem size"})
-        .add({"no-skip", K::Flag, "", "",
-              "fully clocked kernel (paper-faithful costs)"})
-        .add({"jobs", K::Number, "N", "1", "accepted for symmetry; replay"
-              " is a single candidate"})
-        .add({"json", K::Text, "PATH", "", "machine-readable report"})
-        .add({"max-cycles", K::Number, "N", "600000000", "cycle budget"});
+    set.positional("FILE.tgp", 1);
+    cli::add_ic_option(set);
+    cli::add_workload_options(
+        set, "", "",
+        "benchmark core count [default: one per program file]")
+        .flag("no-skip", "fully clocked kernel (paper-faithful costs)")
+        .text("json", "PATH", "", "machine-readable report")
+        .number("max-cycles", "N", "600000000", "cycle budget");
     return set;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
-    if (args.positional().empty()) {
-        std::fprintf(stderr, "usage: tgsim-replay <tgp files> --ic=...\n");
-        return 1;
-    }
-    const auto ic = cli::parse_ic(args.get("ic", "amba"));
-    if (!ic) {
-        std::fprintf(stderr, "unknown --ic (amba|crossbar|xpipes)\n");
-        return 1;
-    }
-
+int run(const cli::OptionSet& o) {
     std::vector<tg::TgProgram> programs;
-    for (const std::string& path : args.positional())
-        programs.push_back(tg::program_from_text(cli::read_text_file(path)));
+    for (const std::string& path : o.positionals()) {
+        programs.push_back(cli::load_file(path, [](const auto& p) {
+            return tg::program_from_text(cli::read_text_file(p));
+        }));
+    }
 
+    // With --app the benchmark's environment is loaded and its result
+    // checks run afterwards; without it the cores run bare.
     apps::Workload env;
-    bool have_checks = false;
-    if (args.has("app")) {
-        const auto w = cli::make_workload(
-            args.get("app"), args.get_u32("cores", static_cast<u32>(programs.size())),
-            args.get_u32("size", cli::default_size(args.get("app"))));
-        if (!w) {
-            std::fprintf(stderr, "unknown --app\n");
-            return 1;
-        }
-        env = *w;
-        have_checks = !env.checks.empty();
+    if (o.has("app")) {
+        env = cli::get_workload(o, o.has("cores")
+                                       ? o.get_u32("cores")
+                                       : static_cast<u32>(programs.size()));
     } else {
         env.cores.resize(programs.size());
     }
+    const bool have_checks = !env.checks.empty();
 
     sweep::Candidate cand;
-    cand.cfg.ic = *ic;
-    if (args.has("no-skip")) { // fully clocked kernel (paper-faithful costs)
+    cand.cfg.ic = o.get_choice<platform::IcKind>("ic");
+    if (o.has("no-skip")) { // fully clocked kernel (paper-faithful costs)
         cand.cfg.kernel_gating = false;
         cand.cfg.max_idle_skip = 0;
     }
@@ -92,15 +70,15 @@ int main(int argc, char** argv) {
     sweep::SweepDriver driver{programs, env};
     sweep::SweepOptions opts;
     opts.jobs = 1;
-    opts.max_cycles = args.get_u64("max-cycles", 600'000'000);
+    opts.max_cycles = o.get_u64("max-cycles");
     const sweep::SweepResult r = driver.run({cand}, opts).at(0);
 
     // The report records failures too (ok:false rows, same as tgsim_sweep),
     // so scripted consumers always find the file after a run.
-    const std::string json = cli::json_path(args);
+    const std::string& json = o.get("json");
     if (!json.empty()) {
         sweep::SweepMeta meta;
-        meta.app = args.get("app", "");
+        meta.app = o.get("app");
         meta.n_cores = driver.n_cores();
         meta.jobs = 1;
         meta.max_cycles = opts.max_cycles;
@@ -121,7 +99,7 @@ int main(int argc, char** argv) {
         return 1;
     }
     std::printf("ic=%s cores=%u\n",
-                std::string(platform::to_string(*ic)).c_str(),
+                std::string(platform::to_string(cand.cfg.ic)).c_str(),
                 driver.n_cores());
     std::printf("execution: %llu cycles; simulated in %.3f s wall\n",
                 static_cast<unsigned long long>(r.cycles), r.wall_seconds);
@@ -138,3 +116,7 @@ int main(int argc, char** argv) {
     }
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return cli::run(options(), argc, argv, run); }

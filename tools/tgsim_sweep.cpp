@@ -80,54 +80,39 @@ using namespace tgsim;
 namespace {
 
 cli::OptionSet options() {
-    using K = cli::OptionSpec::Kind;
-    cli::OptionSet set{"tgsim-sweep",
+    cli::OptionSet set{"tgsim_sweep",
                        "parallel design-space exploration driver; --pattern "
                        "switches to synthetic-traffic pattern mode"};
-    set.add({"app", K::Choice, "NAME", "mp_matrix", "traced benchmark",
-             {"cacheloop", "sp_matrix", "mp_matrix", "des"}})
-        .add({"cores", K::Number, "N", "6", "benchmark core count"})
-        .add({"size", K::Number, "N", "", "benchmark problem size"})
-        .add({"pattern", K::Choice, "NAME", "",
-              "synthetic pattern payload (enables pattern mode)",
-              {"uniform_random", "bit_complement", "transpose", "shuffle",
-               "tornado", "neighbor", "hotspot"}})
-        .add({"grid", K::Text, "WxH", "4x4",
-              "pattern mode: logical core grid"})
-        .add({"rates", K::Text, "R,R,...", "0.01,0.02,0.04,0.08",
-              "pattern mode: offered-rate axis, strictly ascending"})
-        .add({"packets", K::Number, "N", "2000",
-              "pattern mode: transactions per core"})
-        .add({"mesh", K::Text, "SPEC,...", "",
-              "candidate mesh shapes (auto|WxH)"})
-        .add({"fifo", K::Text, "N,...", "4", "candidate FIFO depths"})
-        .add({"topology", K::Text, "KIND,...", "mesh",
-              "candidate topologies: mesh|torus|file:PATH"})
-        .add({"fault-rate", K::Text, "R,...", "0",
-              "fault-probability axis in [0, 1]"})
-        .add({"fault-seed", K::Number, "N", "0",
-              "deterministic fault-stream seed"})
-        .add({"tier", K::Choice, "NAME", "cycle", "evaluator tier",
-              {"cycle", "analytic", "funnel"}})
-        .add({"funnel-top", K::Number, "K", "16",
-              "funnel tier: cycle-simulated survivor budget"})
-        .add({"shard", K::Text, "k/N", "",
-              "evaluate only candidates with index % N == k"})
-        .add({"checkpoint", K::Text, "FILE", "",
-              "append completed rows to an fsync'd JSONL journal"})
-        .add({"resume", K::Flag, "", "", "continue a journaled campaign"})
-        .add({"deterministic", K::Flag, "", "",
-              "emit the canonical report form (byte-comparable)"})
-        .add({"progress", K::Flag, "", "", "periodic progress line on stderr"})
-        .add({"no-fixed-prio", K::Flag, "", "",
-              "also sweep round-robin AMBA arbitration"})
-        .add({"cpu-truth", K::Flag, "", "",
-              "add the cycle-true ground-truth column (slow)"})
-        .add({"jobs", K::Number, "N", "0",
-              "worker threads (0 = one per hardware thread)"})
-        .add({"json", K::Text, "PATH", "", "machine-readable report"})
-        .add({"max-cycles", K::Number, "N", "100000000",
-              "per-candidate cycle budget"});
+    cli::add_workload_options(set, "mp_matrix", "6");
+    cli::add_pattern_option(set, "",
+                            "synthetic pattern payload (enables pattern mode)")
+        .text("grid", "WxH", "4x4", "pattern mode: logical core grid")
+        .text("rates", "R,R,...", "0.01,0.02,0.04,0.08",
+              "pattern mode: offered-rate axis, strictly ascending")
+        .number("packets", "N", "2000", "pattern mode: transactions per core")
+        .text("mesh", "SPEC,...", "",
+              "candidate mesh shapes (auto|WxH) [default: auto in pattern "
+              "mode, auto,8x1,3x3 otherwise]")
+        .text("fifo", "N,...", "4", "candidate FIFO depths")
+        .text("topology", "KIND,...", "mesh",
+              "candidate topologies: mesh|torus|file:PATH")
+        .text("fault-rate", "R,...", "0", "fault-probability axis in [0, 1]")
+        .number("fault-seed", "N", "0", "deterministic fault-stream seed");
+    cli::add_tier_options(set)
+        .text("shard", "k/N", "",
+              "evaluate only candidates with index % N == k")
+        .text("checkpoint", "FILE", "",
+              "append completed rows to an fsync'd JSONL journal")
+        .flag("resume", "continue a journaled campaign")
+        .flag("deterministic",
+              "emit the canonical report form (byte-comparable)")
+        .flag("progress", "periodic progress line on stderr")
+        .flag("no-fixed-prio", "also sweep round-robin AMBA arbitration")
+        .flag("cpu-truth", "add the cycle-true ground-truth column (slow)")
+        .number("jobs", "N", "0",
+                "worker threads (0 = one per hardware thread)")
+        .text("json", "PATH", "", "machine-readable report")
+        .number("max-cycles", "N", "100000000", "per-candidate cycle budget");
     cli::add_source_options(set);
     return set;
 }
@@ -143,10 +128,10 @@ struct Campaign {
 /// Wires --checkpoint/--resume against `meta` (the campaign identity that
 /// the journal header records). Returns false after a stderr diagnostic on
 /// any usage or journal error — always before the expensive part of a run.
-bool setup_campaign(const cli::Args& args, const sweep::SweepMeta& meta,
+bool setup_campaign(const cli::OptionSet& o, const sweep::SweepMeta& meta,
                     Campaign* camp) {
-    const std::string path = args.get("checkpoint", "");
-    const bool resume = args.has("resume");
+    const std::string& path = o.get("checkpoint");
+    const bool resume = o.has("resume");
     if (path.empty()) {
         if (resume) {
             std::fprintf(stderr, "--resume requires --checkpoint=FILE\n");
@@ -198,101 +183,37 @@ bool setup_campaign(const cli::Args& args, const sweep::SweepMeta& meta,
     return true;
 }
 
-/// Pattern-payload mode: candidates over mesh × fifo × rate, evaluated by
-/// the tier selected on the command line.
-int run_pattern_mode(const cli::Args& args) {
-    const std::string pattern_name = args.get("pattern", "uniform_random");
-    const auto pattern = tg::parse_pattern(pattern_name);
-    if (!pattern) {
-        std::fprintf(stderr,
-                     "unknown --pattern '%s' (uniform_random|bit_complement|"
-                     "transpose|shuffle|tornado|neighbor|hotspot)\n",
-                     pattern_name.c_str());
-        return 1;
-    }
-    const std::string grid_spec = args.get("grid", "4x4");
-    const auto grid = cli::parse_mesh(grid_spec, 4);
-    if (!grid || grid->width == 0) { // the core grid needs explicit dims
-        std::fprintf(stderr, "bad --grid spec '%s' (WxH, e.g. 4x4)\n",
-                     grid_spec.c_str());
-        return 1;
-    }
+/// The fabric axes of both modes: every --fifo depth × --mesh shape ×
+/// --topology, capacity-checked for `n_cores`.
+struct Fabrics {
+    std::vector<ic::XpipesConfig> list;
+    /// " topo=..." when the topology axis leaves the mesh: topology is
+    /// campaign identity (docs/topology.md), and pure-mesh runs keep the
+    /// pre-topology app string byte-identical.
+    std::string identity;
+};
 
-    tg::PatternConfig pc;
-    pc.pattern = *pattern;
-    pc.width = grid->width;
-    pc.height = grid->height;
-    pc.packets_per_core = args.get_u64("packets", 2000);
-    const u32 n_cores = pc.width * pc.height;
-
-    // Offered-rate axis of the candidate grid, strictly ascending so rows
-    // group into per-fabric load–latency curves.
-    std::vector<double> rates;
-    for (const std::string& tok :
-         cli::split_list(args.get("rates", "0.01,0.02,0.04,0.08"))) {
-        const auto r = cli::parse_rate(tok);
-        if (!r || *r <= 0.0 || *r > 1.0) {
-            std::fprintf(stderr, "bad --rates entry '%s' (need (0,1])\n",
-                         tok.c_str());
-            return 1;
-        }
-        if (!rates.empty() && *r <= rates.back()) {
-            std::fprintf(stderr, "--rates must be strictly ascending\n");
-            return 1;
-        }
-        rates.push_back(*r);
-    }
-    if (rates.empty()) {
-        std::fprintf(stderr, "--rates is empty\n");
-        return 1;
-    }
-    pc.injection_rate = rates.front();
-
-    // Fault axis (docs/faults.md): each entry is a total per-flit fault
-    // probability; 0 keeps the fault layer (and its grid column) off.
-    const std::vector<double> fault_rates = cli::get_fault_rates(args);
-    const u64 fault_seed = cli::get_fault_seed(args);
-    bool any_fault = false;
-    for (const double fr : fault_rates) any_fault |= fr > 0.0;
-
-    // Source-mode axis (docs/traffic.md): one mode for the whole campaign
-    // — it folds into the identity below, so open and closed shards can
-    // never merge or resume into each other.
-    const tg::SourceConfig source = cli::get_source(args);
-    if (source.open() && any_fault) {
-        std::fprintf(stderr,
-                     "--source=open does not compose with --fault-rate yet "
-                     "(both modes rewrite the master NI send path)\n");
-        return 1;
-    }
-
-    // Topology axis (docs/topology.md): graph files load and validate here,
-    // before any simulation, and all workers share the parsed spec.
+Fabrics fabric_axis(const cli::OptionSet& o, u32 n_cores) {
+    // Graph files load and validate here, before any simulation, and all
+    // workers share the parsed spec.
     const std::vector<cli::TopologyChoice> topologies =
-        cli::get_topologies(args);
-    bool any_topo = false;
+        cli::get_topologies(o);
+    Fabrics out;
     for (const cli::TopologyChoice& t : topologies)
-        any_topo |= t.kind != ic::TopologyKind::Mesh;
-
-    // Fabric axes: every mesh shape × topology × FIFO depth,
-    // latency-instrumented.
-    std::vector<sweep::Candidate> candidates;
-    const std::vector<std::string> meshes =
-        cli::split_list(args.get("mesh", "auto"));
-    for (const std::string& f : cli::split_list(args.get("fifo", "4"))) {
-        const u64 depth64 = cli::parse_u64(f).value_or(0);
-        if (depth64 == 0 || depth64 > 0xFFFFFFFFull) {
-            std::fprintf(stderr, "bad --fifo depth '%s'\n", f.c_str());
-            return 1;
-        }
+        if (t.kind != ic::TopologyKind::Mesh)
+            out.identity = " topo=" + o.get("topology");
+    const std::vector<std::string> meshes = cli::split_list(
+        o.has("mesh") ? o.get("mesh")
+                      : o.has("pattern") ? "auto" : "auto,8x1,3x3");
+    for (const std::string& f : cli::split_list(o.get("fifo"))) {
+        const u64 depth = cli::parse_u64(f).value_or(0);
+        if (depth == 0 || depth > 0xFFFFFFFFull)
+            cli::die("bad --fifo depth '" + f + "'");
         for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
             const auto mesh =
-                cli::parse_mesh(meshes[mi], static_cast<u32>(depth64));
-            if (!mesh) {
-                std::fprintf(stderr, "bad --mesh spec '%s' (auto|WxH)\n",
-                             meshes[mi].c_str());
-                return 1;
-            }
+                cli::parse_mesh(meshes[mi], static_cast<u32>(depth));
+            if (!mesh)
+                cli::die("bad --mesh spec '" + meshes[mi] + "' (auto|WxH)");
             for (const cli::TopologyChoice& topo : topologies) {
                 // A table graph fixes the fabric shape itself: crossing it
                 // with every --mesh entry would only duplicate identical
@@ -306,243 +227,196 @@ int run_pattern_mode(const cli::Args& args) {
                     fabric.width = fabric.height = 0;
                 cli::check_fabric_capacity(fabric, n_cores,
                                            "--mesh/--topology");
-                for (const double rate : rates) {
-                    for (const double frate : fault_rates) {
-                        sweep::Candidate c;
-                        c.cfg.ic = platform::IcKind::Xpipes;
-                        c.cfg.xpipes = fabric;
-                        c.cfg.xpipes.collect_latency = true;
-                        c.cfg.xpipes.fault =
-                            cli::make_fault(frate, fault_seed);
-                        c.injection_rate = rate;
-                        c.source = source;
-                        c.source.rate = rate;
-                        // describe_fabric appends the fault axis itself
-                        // when it is enabled, so zero-fault names are
-                        // unchanged.
-                        char buf[128];
-                        std::snprintf(buf, sizeof buf, "%s r=%.4f",
-                                      sweep::describe_fabric(c.cfg).c_str(),
-                                      rate);
-                        c.name = buf;
-                        candidates.push_back(std::move(c));
-                    }
-                }
+                out.list.push_back(fabric);
+            }
+        }
+    }
+    return out;
+}
+
+/// Pattern-payload mode: candidates over mesh × fifo × rate, evaluated by
+/// the tier selected on the command line.
+int run_pattern_mode(const cli::OptionSet& o) {
+    const ic::XpipesConfig grid = cli::get_grid(o, "grid");
+    tg::PatternConfig pc;
+    pc.pattern = o.get_choice<tg::Pattern>("pattern");
+    pc.width = grid.width;
+    pc.height = grid.height;
+    pc.packets_per_core = o.get_u64("packets");
+    const u32 n_cores = pc.width * pc.height;
+
+    // Offered-rate axis of the candidate grid.
+    const std::vector<double> rates = cli::get_rates(o);
+    pc.injection_rate = rates.front();
+
+    // Fault axis (docs/faults.md): each entry is a total per-flit fault
+    // probability; 0 keeps the fault layer (and its grid column) off.
+    const std::vector<double> fault_rates = cli::get_fault_rates(o);
+    const u64 fault_seed = o.get_u64("fault-seed");
+    bool any_fault = false;
+    for (const double fr : fault_rates) any_fault |= fr > 0.0;
+
+    // Source-mode axis (docs/traffic.md): one mode for the whole campaign
+    // — it folds into the identity below, so open and closed shards can
+    // never merge or resume into each other.
+    const tg::SourceConfig source = cli::get_source(o);
+    if (source.open() && any_fault) {
+        std::fprintf(stderr,
+                     "--source=open does not compose with --fault-rate yet "
+                     "(both modes rewrite the master NI send path)\n");
+        return 1;
+    }
+
+    // Every fabric × rate × fault point, latency-instrumented.
+    const Fabrics fabrics = fabric_axis(o, n_cores);
+    std::vector<sweep::Candidate> candidates;
+    for (const ic::XpipesConfig& fabric : fabrics.list) {
+        for (const double rate : rates) {
+            for (const double frate : fault_rates) {
+                sweep::Candidate c;
+                c.cfg.ic = platform::IcKind::Xpipes;
+                c.cfg.xpipes = fabric;
+                c.cfg.xpipes.collect_latency = true;
+                c.cfg.xpipes.fault = cli::make_fault(frate, fault_seed);
+                c.injection_rate = rate;
+                c.source = source;
+                c.source.rate = rate;
+                // describe_fabric appends the fault axis itself when it is
+                // enabled, so zero-fault names are unchanged.
+                char buf[128];
+                std::snprintf(buf, sizeof buf, "%s r=%.4f",
+                              sweep::describe_fabric(c.cfg).c_str(), rate);
+                c.name = buf;
+                candidates.push_back(std::move(c));
             }
         }
     }
 
     sweep::SweepOptions opts;
-    opts.jobs = cli::get_jobs(args);
-    opts.max_cycles = args.get_u64("max-cycles", 100'000'000);
-    opts.tier = cli::get_tier(args);
-    opts.funnel_top = cli::get_funnel_top(args);
-    opts.shard = cli::get_shard(args);
-    opts.progress = args.has("progress");
+    opts.jobs = o.get_u32("jobs");
+    opts.max_cycles = o.get_u64("max-cycles");
+    opts.tier = o.get_choice<sweep::Tier>("tier");
+    opts.funnel_top = o.get_u32("funnel-top");
+    opts.shard = cli::get_shard(o);
+    opts.progress = o.has("progress");
 
     apps::Workload context; // patterns compute nothing: empty images/checks
     context.name = "pattern_" + std::string{tg::to_string(pc.pattern)};
 
-    try {
-        const sweep::SweepDriver driver{pc, context};
-        const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
+    const sweep::SweepDriver driver{pc, context};
+    const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
 
-        // The campaign identity: what the report header, the journal
-        // header and every merge/resume compatibility check agree on.
-        sweep::SweepMeta meta;
-        meta.app = context.name + " " + grid_spec;
-        // describe() is empty for closed sources, so pre-open campaign
-        // identities (and their journals) stay byte-identical.
-        meta.app += tg::describe(source);
-        if (any_fault) {
-            // The fault axis is campaign identity: shard merges and journal
-            // resumes must never mix reports with different fault levels.
-            meta.app += " fault=" + args.get("fault-rate", "0") + "@" +
-                        std::to_string(fault_seed);
-        }
-        if (any_topo) {
-            // The topology axis is campaign identity too: a torus or
-            // table-graph campaign must never merge or resume into a mesh
-            // one (pure-mesh runs keep the pre-topology app string).
-            meta.app += " topo=" + args.get("topology", "mesh");
-        }
-        meta.n_cores = n_cores;
-        meta.jobs = jobs;
-        meta.max_cycles = opts.max_cycles;
-        meta.tier = opts.tier;
-        meta.seed = opts.seed;
-        meta.n_candidates = static_cast<u32>(candidates.size());
-        if (opts.tier == sweep::Tier::Funnel) meta.funnel_top = opts.funnel_top;
-        meta.shard = opts.shard;
+    // The campaign identity: what the report header, the journal header
+    // and every merge/resume compatibility check agree on.
+    sweep::SweepMeta meta;
+    meta.app = context.name + " " + o.get("grid");
+    // describe() is empty for closed sources, so pre-open campaign
+    // identities (and their journals) stay byte-identical.
+    meta.app += tg::describe(source);
+    if (any_fault) {
+        // The fault axis is campaign identity: shard merges and journal
+        // resumes must never mix reports with different fault levels.
+        meta.app += " fault=" + o.get("fault-rate") + "@" +
+                    std::to_string(fault_seed);
+    }
+    meta.app += fabrics.identity;
+    meta.n_cores = n_cores;
+    meta.jobs = jobs;
+    meta.max_cycles = opts.max_cycles;
+    meta.tier = opts.tier;
+    meta.seed = opts.seed;
+    meta.n_candidates = static_cast<u32>(candidates.size());
+    if (opts.tier == sweep::Tier::Funnel) meta.funnel_top = opts.funnel_top;
+    meta.shard = opts.shard;
 
-        Campaign camp;
-        if (!setup_campaign(args, meta, &camp)) return 1;
-        if (camp.journal.is_open()) opts.journal = &camp.journal;
-        if (camp.resuming) opts.resume = &camp.resumed;
-        std::printf("%s on a %ux%u core grid, %zu candidates, tier %s, "
-                    "%u workers\n\n",
-                    pattern_name.c_str(), pc.width, pc.height,
-                    candidates.size(),
-                    std::string{sweep::to_string(opts.tier)}.c_str(), jobs);
-        sim::WallTimer timer;
-        std::vector<sweep::SweepResult> results = driver.run(candidates, opts);
-        const double sweep_wall = timer.seconds();
-        if (camp.journal.is_open() && !camp.journal.close()) {
-            std::fprintf(stderr, "--checkpoint: journal write failed\n");
+    Campaign camp;
+    if (!setup_campaign(o, meta, &camp)) return 1;
+    if (camp.journal.is_open()) opts.journal = &camp.journal;
+    if (camp.resuming) opts.resume = &camp.resumed;
+    std::printf("%s on a %ux%u core grid, %zu candidates, tier %s, "
+                "%u workers\n\n",
+                o.get("pattern").c_str(), pc.width, pc.height,
+                candidates.size(),
+                std::string{sweep::to_string(opts.tier)}.c_str(), jobs);
+    sim::WallTimer timer;
+    std::vector<sweep::SweepResult> results = driver.run(candidates, opts);
+    const double sweep_wall = timer.seconds();
+    if (camp.journal.is_open() && !camp.journal.close()) {
+        std::fprintf(stderr, "--checkpoint: journal write failed\n");
+        return 1;
+    }
+
+    std::printf("%-26s %5s %12s %10s %9s\n", "candidate", "tier", "cycles",
+                "accepted", "mean lat");
+    const sweep::SweepResult* best = nullptr;
+    bool setup_error = false;
+    for (const sweep::SweepResult& r : results) {
+        if (!r.ok()) {
+            std::printf("%-26s REJECTED: %s\n", r.name.c_str(),
+                        r.error.c_str());
+            if (r.failure == sweep::FailureKind::SetupError)
+                setup_error = true;
+            continue;
+        }
+        std::printf("%-26s %5s %12llu %10.4f %9.1f\n", r.name.c_str(),
+                    r.analytic ? "pred" : "cycle",
+                    static_cast<unsigned long long>(r.cycles),
+                    r.accepted_rate, r.lat_mean);
+        // The headline answer: the fastest-completing candidate, only ever
+        // picked from cycle-measured rows in funnel mode (the survivors),
+        // so funnel top-1 == all-cycle top-1.
+        const bool eligible = opts.tier == sweep::Tier::Analytic || !r.analytic;
+        if (eligible &&
+            (best == nullptr || r.cycles < best->cycles ||
+             (r.cycles == best->cycles && r.index < best->index)))
+            best = &r;
+    }
+    std::printf("\n%zu candidates in %.3f s wall\n", results.size(),
+                sweep_wall);
+    if (best != nullptr)
+        std::printf("best: %s (%llu cycles)\n", best->name.c_str(),
+                    static_cast<unsigned long long>(best->cycles));
+
+    const std::string& json = o.get("json");
+    if (!json.empty()) {
+        if (o.has("deterministic")) sweep::canonicalize(meta, results);
+        if (!sweep::write_json_report(results, meta, json)) {
+            std::fprintf(stderr, "failed to write %s\n", json.c_str());
             return 1;
         }
-
-        std::printf("%-26s %5s %12s %10s %9s\n", "candidate", "tier",
-                    "cycles", "accepted", "mean lat");
-        const sweep::SweepResult* best = nullptr;
-        bool setup_error = false;
-        for (const sweep::SweepResult& r : results) {
-            if (!r.ok()) {
-                std::printf("%-26s REJECTED: %s\n", r.name.c_str(),
-                            r.error.c_str());
-                if (r.failure == sweep::FailureKind::SetupError)
-                    setup_error = true;
-                continue;
-            }
-            std::printf("%-26s %5s %12llu %10.4f %9.1f\n", r.name.c_str(),
-                        r.analytic ? "pred" : "cycle",
-                        static_cast<unsigned long long>(r.cycles),
-                        r.accepted_rate, r.lat_mean);
-            // The headline answer: the fastest-completing candidate, only
-            // ever picked from cycle-measured rows in funnel mode (the
-            // survivors), so funnel top-1 == all-cycle top-1.
-            const bool eligible =
-                opts.tier == sweep::Tier::Analytic || !r.analytic;
-            if (eligible && (best == nullptr || r.cycles < best->cycles ||
-                             (r.cycles == best->cycles &&
-                              r.index < best->index)))
-                best = &r;
-        }
-        std::printf("\n%zu candidates in %.3f s wall\n", results.size(),
-                    sweep_wall);
-        if (best != nullptr)
-            std::printf("best: %s (%llu cycles)\n", best->name.c_str(),
-                        static_cast<unsigned long long>(best->cycles));
-
-        const std::string json = cli::json_path(args);
-        if (!json.empty()) {
-            if (args.has("deterministic")) sweep::canonicalize(meta, results);
-            if (!sweep::write_json_report(results, meta, json)) {
-                std::fprintf(stderr, "failed to write %s\n", json.c_str());
-                return 1;
-            }
-            std::printf("wrote %s (%zu candidates)\n", json.c_str(),
-                        results.size());
-        }
-        return setup_error ? 1 : 0;
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 1;
+        std::printf("wrote %s (%zu candidates)\n", json.c_str(),
+                    results.size());
     }
+    return setup_error ? 1 : 0;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    options().check_or_help(args);
-    // Tier flags validate eagerly in both modes (fail-fast contract).
-    const sweep::Tier tier = cli::get_tier(args);
-    (void)cli::get_funnel_top(args);
-    if (args.has("pattern")) return run_pattern_mode(args);
-    if (cli::get_source(args).open()) {
-        std::fprintf(stderr,
-                     "--source=open needs a pattern payload; add "
-                     "--pattern=NAME (traced TG programs replay a closed-"
-                     "loop execution by construction)\n");
-        return 1;
-    }
-    if (tier != sweep::Tier::Cycle) {
-        std::fprintf(stderr,
-                     "--tier=%s needs a pattern payload; add --pattern=NAME "
-                     "(the analytic model is defined over a pattern's "
-                     "destination matrix, not over TG traces)\n",
-                     std::string{sweep::to_string(tier)}.c_str());
-        return 1;
-    }
-    const std::string app = args.get("app", "mp_matrix");
-    const u32 cores = args.get_u32("cores", 6);
-    const u32 size =
-        args.get_u32("size", cli::default_size(app));
-    const Cycle max_cycles = args.get_u64("max-cycles", 100'000'000);
-
-    const auto workload = cli::make_workload(app, cores, size);
-    if (!workload) {
-        std::fprintf(stderr,
-                     "unknown --app (cacheloop|sp_matrix|mp_matrix|des)\n");
-        return 1;
-    }
+/// Traced-benchmark mode: one reference run, one translation, then the
+/// AMBA / crossbar / ×pipes candidate grid replayed on the TG platform.
+int run_app_mode(const cli::OptionSet& o) {
+    const apps::Workload workload = cli::get_workload(o, o.get_u32("cores"));
+    const Cycle max_cycles = o.get_u64("max-cycles");
 
     // --- candidate grid (parsed before the expensive reference run, so a
     // flag typo fails in milliseconds, not after minutes of simulation) ---
+    const u32 n_cores = static_cast<u32>(workload.cores.size());
+    const Fabrics fabrics = fabric_axis(o, n_cores);
     sweep::GridSpec grid;
-    grid.amba_fixed_priority = !args.has("no-fixed-prio");
-    const u32 n_cores = static_cast<u32>(workload->cores.size());
-    const std::vector<cli::TopologyChoice> topologies =
-        cli::get_topologies(args);
-    bool any_topo = false;
-    for (const cli::TopologyChoice& t : topologies)
-        any_topo |= t.kind != ic::TopologyKind::Mesh;
-    std::vector<std::string> meshes =
-        cli::split_list(args.get("mesh", "auto,8x1,3x3"));
-    std::vector<std::string> fifos = cli::split_list(args.get("fifo", "4"));
-    for (const std::string& f : fifos) {
-        const u64 depth64 = cli::parse_u64(f).value_or(0);
-        if (depth64 == 0 || depth64 > 0xFFFFFFFFull) {
-            std::fprintf(stderr, "bad --fifo depth '%s'\n", f.c_str());
-            return 1;
-        }
-        const u32 depth = static_cast<u32>(depth64);
-        for (std::size_t mi = 0; mi < meshes.size(); ++mi) {
-            const auto mesh = cli::parse_mesh(meshes[mi], depth);
-            if (!mesh) {
-                std::fprintf(stderr, "bad --mesh spec '%s' (auto|WxH)\n",
-                             meshes[mi].c_str());
-                return 1;
-            }
-            for (const cli::TopologyChoice& topo : topologies) {
-                // Same collapse rule as pattern mode: a table graph fixes
-                // the fabric shape, so the mesh axis contributes one point.
-                if (topo.kind == ic::TopologyKind::Table && mi != 0)
-                    continue;
-                ic::XpipesConfig fabric = *mesh;
-                fabric.topology = topo.kind;
-                fabric.graph = topo.graph;
-                if (topo.kind == ic::TopologyKind::Table)
-                    fabric.width = fabric.height = 0;
-                cli::check_fabric_capacity(fabric, n_cores,
-                                           "--mesh/--topology");
-                grid.meshes.push_back(fabric);
-            }
-        }
-    }
+    grid.amba_fixed_priority = !o.has("no-fixed-prio");
+    grid.meshes = fabrics.list;
     const std::vector<sweep::Candidate> candidates = sweep::make_grid(grid);
-    // Numeric flags validate eagerly too — same fail-fast contract.
-    const u32 jobs_flag = cli::get_jobs(args);
-    const bool cpu_truth = args.has("cpu-truth");
     sweep::SweepOptions opts;
-    opts.jobs = jobs_flag;
+    opts.jobs = o.get_u32("jobs");
     opts.max_cycles = max_cycles;
-    opts.with_cpu_truth = cpu_truth;
-    opts.shard = cli::get_shard(args);
-    opts.progress = args.has("progress");
+    opts.with_cpu_truth = o.has("cpu-truth");
+    opts.shard = cli::get_shard(o);
+    opts.progress = o.has("progress");
     const u32 jobs = sweep::resolve_jobs(opts.jobs, candidates.size());
 
     // Campaign identity + checkpoint/resume wiring, validated before the
     // expensive reference run so a stale journal fails in milliseconds.
     sweep::SweepMeta meta;
-    meta.app = app;
-    if (any_topo) {
-        // Topology is campaign identity (same contract as pattern mode):
-        // pure-mesh runs keep the pre-topology app string byte-identical.
-        meta.app += " topo=" + args.get("topology", "mesh");
-    }
-    meta.n_cores = static_cast<u32>(workload->cores.size());
+    meta.app = o.get("app") + fabrics.identity;
+    meta.n_cores = n_cores;
     meta.jobs = jobs;
     meta.max_cycles = max_cycles;
     meta.tier = opts.tier;
@@ -550,20 +424,20 @@ int main(int argc, char** argv) {
     meta.n_candidates = static_cast<u32>(candidates.size());
     meta.shard = opts.shard;
     Campaign camp;
-    if (!setup_campaign(args, meta, &camp)) return 1;
+    if (!setup_campaign(o, meta, &camp)) return 1;
     if (camp.journal.is_open()) opts.journal = &camp.journal;
     if (camp.resuming) opts.resume = &camp.resumed;
 
     // --- one reference simulation, traced ---
     platform::PlatformConfig ref_cfg;
-    ref_cfg.n_cores = static_cast<u32>(workload->cores.size());
+    ref_cfg.n_cores = n_cores;
     ref_cfg.ic = platform::IcKind::Amba;
     ref_cfg.collect_traces = true;
     platform::Platform ref{ref_cfg};
-    ref.load_workload(*workload);
+    ref.load_workload(workload);
     const auto ref_res = ref.run(max_cycles);
     std::string msg;
-    if (!ref_res.completed || !ref.run_checks(*workload, &msg)) {
+    if (!ref_res.completed || !ref.run_checks(workload, &msg)) {
         std::fprintf(stderr, "reference run failed: %s\n",
                      ref_res.completed ? msg.c_str() : "did not complete");
         return 1;
@@ -574,13 +448,13 @@ int main(int argc, char** argv) {
 
     // --- one translation ---
     tg::TranslateOptions topt;
-    topt.polls = workload->polls;
+    topt.polls = workload.polls;
     std::vector<tg::TgProgram> programs;
     for (const auto& t : ref.traces())
         programs.push_back(tg::translate(t, topt).program);
 
     // --- parallel evaluation ---
-    sweep::SweepDriver driver{programs, *workload};
+    sweep::SweepDriver driver{programs, workload};
     sim::WallTimer timer;
     std::vector<sweep::SweepResult> results = driver.run(candidates, opts);
     const double sweep_wall = timer.seconds();
@@ -621,9 +495,9 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    const std::string json = cli::json_path(args);
+    const std::string& json = o.get("json");
     if (!json.empty()) {
-        if (args.has("deterministic")) sweep::canonicalize(meta, results);
+        if (o.has("deterministic")) sweep::canonicalize(meta, results);
         if (!sweep::write_json_report(results, meta, json)) {
             std::fprintf(stderr, "failed to write %s\n", json.c_str());
             return 1;
@@ -633,3 +507,28 @@ int main(int argc, char** argv) {
     }
     return replay_bug ? 1 : 0;
 }
+
+int run(const cli::OptionSet& o) {
+    if (o.has("pattern")) return run_pattern_mode(o);
+    if (cli::get_source(o).open()) {
+        std::fprintf(stderr,
+                     "--source=open needs a pattern payload; add "
+                     "--pattern=NAME (traced TG programs replay a closed-"
+                     "loop execution by construction)\n");
+        return 1;
+    }
+    const sweep::Tier tier = o.get_choice<sweep::Tier>("tier");
+    if (tier != sweep::Tier::Cycle) {
+        std::fprintf(stderr,
+                     "--tier=%s needs a pattern payload; add --pattern=NAME "
+                     "(the analytic model is defined over a pattern's "
+                     "destination matrix, not over TG traces)\n",
+                     std::string{sweep::to_string(tier)}.c_str());
+        return 1;
+    }
+    return run_app_mode(o);
+}
+
+} // namespace
+
+int main(int argc, char** argv) { return cli::run(options(), argc, argv, run); }

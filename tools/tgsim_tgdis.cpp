@@ -1,6 +1,6 @@
 // tgsim-tgdis — disassembles a TG .bin image back to .tgp text.
 //
-//   tgsim-tgdis program.bin [--out=program.tgp]
+//   tgsim_tgdis program.bin [--out=program.tgp]
 #include <cstdio>
 
 #include "cli.hpp"
@@ -8,21 +8,33 @@
 
 using namespace tgsim;
 
-int main(int argc, char** argv) {
-    const cli::Args args{argc, argv};
-    if (args.positional().size() != 1) {
-        std::fprintf(stderr, "usage: tgsim-tgdis <file.bin> [--out=file.tgp]\n");
-        return 1;
-    }
-    const auto image = cli::load_image(args.positional()[0]);
-    const tg::TgProgram prog = tg::disassemble(image);
+namespace {
+
+cli::OptionSet options() {
+    cli::OptionSet set{"tgsim_tgdis",
+                       "disassemble a TG binary image back to .tgp text"};
+    set.positional("FILE.bin", 1, 1)
+        .text("out", "FILE.tgp", "", "output file (empty: stdout)");
+    return set;
+}
+
+int run(const cli::OptionSet& o) {
+    const tg::TgProgram prog =
+        cli::load_file(o.positionals()[0], [](const auto& p) {
+            return tg::disassemble(cli::load_image(p));
+        });
     const std::string text = tg::to_text(prog);
-    if (args.has("out")) {
-        cli::write_text_file(args.get("out"), text);
-        std::printf("wrote %s (%zu instructions)\n", args.get("out").c_str(),
-                    prog.instrs.size());
-    } else {
+    const std::string& out = o.get("out");
+    if (out.empty()) {
         std::printf("%s", text.c_str());
+        return 0;
     }
+    cli::write_text_file(out, text);
+    std::printf("wrote %s (%zu instructions)\n", out.c_str(),
+                prog.instrs.size());
     return 0;
 }
+
+} // namespace
+
+int main(int argc, char** argv) { return cli::run(options(), argc, argv, run); }
