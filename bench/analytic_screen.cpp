@@ -46,7 +46,7 @@ sweep::Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = mesh;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%s r=%.4f",
                   sweep::describe_fabric(c.cfg).c_str(), rate);
@@ -116,10 +116,10 @@ int main() {
             base_pattern(tg::Pattern::UniformRandom, 2000);
         const analytic::Evaluator eval{pc};
         const std::vector<ic::XpipesConfig> meshes{
-            {5, 4, 4, true, false, {}},
-            {6, 3, 4, true, false, {}},
-            {4, 5, 4, true, false, {}},
-            {0, 0, 4, true, false, {}}};
+            bench::mesh_cfg(5, 4, 4),
+            bench::mesh_cfg(6, 3, 4),
+            bench::mesh_cfg(4, 5, 4),
+            bench::mesh_cfg(0, 0, 4)};
         const auto grid = make_screen_grid(
             meshes, {2, 4, 8}, rate_ladder(100, 0.002, 0.9));
         analytic::Workspace ws;
@@ -154,11 +154,11 @@ int main() {
         context.name = "transpose";
         const sweep::SweepDriver driver{pc, context};
         const std::vector<ic::XpipesConfig> meshes{
-            {5, 4, 4, true, false, {}},
-            {6, 3, 4, true, false, {}},
-            {4, 5, 4, true, false, {}},
-            {7, 3, 4, true, false, {}},
-            {9, 2, 4, true, false, {}}};
+            bench::mesh_cfg(5, 4, 4),
+            bench::mesh_cfg(6, 3, 4),
+            bench::mesh_cfg(4, 5, 4),
+            bench::mesh_cfg(7, 3, 4),
+            bench::mesh_cfg(9, 2, 4)};
         const auto grid = make_screen_grid(meshes, {2, 4, 8, 16},
                                            rate_ladder(25, 0.005, 0.8));
         std::printf("funnel grid: %zu candidates\n", grid.size());
@@ -229,8 +229,8 @@ int main() {
             apps::Workload context;
             context.name = std::string{tg::to_string(p)};
             const sweep::SweepDriver driver{pc, context};
-            const auto grid = make_screen_grid({{5, 4, 4, true, false, {}},
-                                  {6, 3, 4, true, false, {}}},
+            const auto grid = make_screen_grid({bench::mesh_cfg(5, 4, 4),
+                                  bench::mesh_cfg(6, 3, 4)},
                                  {2, 8},
                                                rate_ladder(8, 0.005, 0.64));
             sweep::SweepOptions opts;

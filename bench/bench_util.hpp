@@ -16,11 +16,15 @@ namespace tgsim::bench {
 
 inline constexpr Cycle kMaxCycles = 600'000'000;
 
-/// Completion-predicate polling granularity for harness runs. The predicate
-/// scans every master; polling it every cycle is pure overhead in
-/// skip-eligible regions (reported cycle counts derive from per-master halt
-/// cycles and are interval-independent).
-inline constexpr Cycle kDoneCheckInterval = 1024;
+/// A WxH ×pipes mesh with `fifo_depth`-flit router FIFOs, every other
+/// field at its default.
+inline ic::XpipesConfig mesh_cfg(u32 width, u32 height, u32 fifo_depth) {
+    ic::XpipesConfig cfg;
+    cfg.width = width;
+    cfg.height = height;
+    cfg.fifo_depth = fifo_depth;
+    return cfg;
+}
 
 /// Machine-readable results: rows of named numeric metrics, written as
 /// BENCH_<name>.json into the working directory on destruction, so the perf
@@ -93,7 +97,6 @@ struct TimedRun {
 inline TimedRun run_cpu(const apps::Workload& w, platform::PlatformConfig cfg,
                         bool traced) {
     cfg.collect_traces = traced;
-    cfg.done_check_interval = kDoneCheckInterval;
     platform::Platform p{cfg};
     p.load_workload(w);
     TimedRun out;
@@ -130,7 +133,6 @@ inline platform::RunResult run_tg(const std::vector<tg::TgProgram>& programs,
                                   const apps::Workload& w,
                                   platform::PlatformConfig cfg) {
     cfg.collect_traces = false;
-    cfg.done_check_interval = kDoneCheckInterval;
     platform::Platform p{cfg};
     p.load_tg_programs(programs, w);
     const auto res = p.run(kMaxCycles);

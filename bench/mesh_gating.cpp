@@ -129,7 +129,7 @@ void load_all_to_all(MeshRig& rig, u32 width, u32 height, u32 reps) {
 template <typename Loader>
 Observation run_one(u32 width, u32 height, bool gating,
                     ic::TopologyKind topology, Loader&& load) {
-    ic::XpipesConfig cfg{width, height, 4};
+    ic::XpipesConfig cfg = bench::mesh_cfg(width, height, 4);
     cfg.router_gating = gating;
     cfg.topology = topology;
     MeshRig rig{cfg};

@@ -40,7 +40,7 @@ sweep::Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = mesh;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     char buf[64];
     std::snprintf(buf, sizeof buf, "%s r=%.4f",
                   sweep::describe_fabric(c.cfg).c_str(), rate);
@@ -50,7 +50,8 @@ sweep::Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
 
 /// mesh-shape x fifo-depth x rate candidate grid (analytic_screen's shape).
 std::vector<sweep::Candidate> make_shard_grid() {
-    const std::vector<ic::XpipesConfig> meshes{{5, 4, 4}, {6, 3, 4}, {4, 5, 4}};
+    const std::vector<ic::XpipesConfig> meshes{
+        bench::mesh_cfg(5, 4, 4), bench::mesh_cfg(6, 3, 4), bench::mesh_cfg(4, 5, 4)};
     const std::vector<u32> fifos{2, 4, 8};
     const std::vector<double> rates{0.005, 0.01, 0.02, 0.04, 0.08, 0.16,
                                     0.32, 0.64};

@@ -48,12 +48,12 @@ int main() {
     // grid is round-robin AMBA + crossbar + 22 ×pipes mesh points.
     sweep::GridSpec grid;
     grid.amba_fixed_priority = false;
-    grid.meshes.push_back(ic::XpipesConfig{0, 0, 4}); // auto mesh
+    grid.meshes.push_back(bench::mesh_cfg(0, 0, 4)); // auto mesh
     constexpr std::pair<u32, u32> kShapes[] = {{2, 3}, {3, 2}, {6, 1}, {4, 2},
                                                {3, 3}, {4, 3}, {8, 1}};
     for (const auto& [mw, mh] : kShapes)
         for (const u32 fifo : {2u, 4u, 8u})
-            grid.meshes.push_back(ic::XpipesConfig{mw, mh, fifo});
+            grid.meshes.push_back(bench::mesh_cfg(mw, mh, fifo));
     const std::vector<sweep::Candidate> candidates = sweep::make_grid(grid);
     std::printf("grid: %zu candidates\n\n", candidates.size());
 

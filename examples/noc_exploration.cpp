@@ -69,10 +69,13 @@ int main() {
         c.cfg.ic = platform::IcKind::Xpipes;
         candidates.push_back(c);
         c.name = "xpipes 8x1";
-        c.cfg.xpipes = ic::XpipesConfig{8, 1, 4, true, false, {}};
+        c.cfg.xpipes.width = 8;
+        c.cfg.xpipes.height = 1;
         candidates.push_back(c);
         c.name = "xpipes 3x3 deep";
-        c.cfg.xpipes = ic::XpipesConfig{3, 3, 8, true, false, {}};
+        c.cfg.xpipes.width = 3;
+        c.cfg.xpipes.height = 3;
+        c.cfg.xpipes.fifo_depth = 8;
         candidates.push_back(c);
     }
 

@@ -140,166 +140,59 @@ u32 XpipesNetwork::new_packet(const Packet& p) {
     return h;
 }
 
+XpipesNetwork::Flit XpipesNetwork::emit(std::deque<Flit>& q, u32& csum,
+                                        Flit f, bool staged) {
+    if (fault_on_) {
+        // The only place serials are drawn: in emission order, and NI
+        // evaluation order is fixed, so every fault site is
+        // schedule-independent (docs/faults.md).
+        const u64 serial = next_serial_++;
+        switch (f.kind) {
+            case Flit::Kind::Head:
+                pkts_[f.tag].head_serial = serial;
+                csum = csum_init();
+                break;
+            case Flit::Kind::Payload:
+                f.tag = serial;
+                csum = csum_step(csum, f.payload);
+                break;
+            case Flit::Kind::Tail:
+                pkts_[f.tag].tail_serial = serial;
+                f.payload = csum;
+                break;
+        }
+    }
+    q.push_back(f);
+    if (!staged) ++flits_active_;
+    return f;
+}
+
+void XpipesNetwork::emit_request(MasterNi& ni, Flit f) {
+    f = emit(open_ ? ni.pending : ni.tx, ni.tx_csum, f, open_);
+    if (fault_on_) ni.pkt_copy.push_back(f);
+    if (open_ && f.kind == Flit::Kind::Tail) {
+        // The packet is complete: it may now drain into tx.
+        ++ni.pending_tails;
+        ++open_backlog_;
+        if (ni.pending_tails > stats_.pending_peak)
+            stats_.pending_peak = ni.pending_tails;
+    }
+}
+
 void XpipesNetwork::eval_master_ni(MasterNi& ni) {
     const ocp::ChannelRef ch = ni.ch;
     ch.tidy_response();
     switch (ni.st) {
-        case MasterNi::St::Idle: {
-            if (ch.m_cmd() == ocp::Cmd::Idle) break;
-            if (open_) {
-                // Open-loop source: accept at the offered rate into the
-                // pending queue; injection is decoupled (drained below).
-                open_accept(ni);
-                break;
-            }
-            if (!ni.tx.empty()) { // still draining the previous packet
-                stats_.master_wait_cycles[static_cast<std::size_t>(
-                    &ni - masters_.data())] += 1;
-                break;
-            }
-            ni.cmd = ch.m_cmd();
-            ni.burst = ocp::is_burst(ni.cmd)
-                           ? std::max<u16>(1, std::min<u16>(ch.m_burst(), ocp::kMaxBurstLen))
-                           : u16{1};
-            ni.beats = 0;
-            ni.resp_sent = 0;
-            ni.rx.clear();
-            const auto slave_idx = map_.decode(ch.m_addr());
-            ni.err = !slave_idx;
-            any_activity_ = true;
-            if (ni.err) {
-                ++stats_.decode_errors;
-                ch.s_cmd_accept() = true; // consume the first (or only) beat
-                ch.touch_s();
-                if (ocp::is_write(ni.cmd)) {
-                    ni.beats = 1;
-                    ni.st = (ni.beats == ni.burst) ? MasterNi::St::Idle
-                                                   : MasterNi::St::CollectWrite;
-                } else {
-                    for (u16 i = 0; i < ni.burst; ++i)
-                        ni.rx.push_back(RxBeat{kPoison, true});
-                    ni.st = MasterNi::St::AwaitResp;
-                }
-                break;
-            }
-            Packet pk;
-            pk.hdr.cmd = ni.cmd;
-            pk.hdr.addr = ch.m_addr();
-            pk.hdr.burst = ni.burst;
-            pk.hdr.src_node = ni.node;
-            pk.hdr.dest_node = slave_node_[*slave_idx];
-            pk.hdr.is_resp = false;
-            pk.created = now_; // closed loop: creation == injection
-            pk.inject = now_;
-            if (fault_on_) {
-                pk.hdr.seq = ++ni.seq;
-                pk.head_serial = next_serial_++;
-            }
-            ni.pkt = new_packet(pk);
-            const Flit head = make_flit(Flit::Kind::Head, ni.pkt);
-            if (fault_on_) {
-                // The transaction enters the fault domain: retain the
-                // packet for replay, arm the retry timer, open the
-                // accountability window (docs/faults.md).
-                ni.retained = pk;
-                ni.pkt_copy.clear();
-                ni.pkt_copy.push_back(head);
-                ni.tx_csum = csum_init();
-                ni.attempts = 0;
-                ni.first_inject = now_;
-                ni.deadline = now_ + cfg_.fault.retry_timeout;
-                ni.cur_err = false;
-                ni.synth_err = false;
-                ni.resp_taken = false;
-                ni.ack_ok = false;
-                ++pending_txns_;
-                ++stats_.reliability.injected;
-            }
-            ni.tx.push_back(head);
-            ++flits_active_;
-            ++stats_.packets_sent;
-            ch.s_cmd_accept() = true;
-            ch.touch_s();
-            if (ocp::is_write(ni.cmd)) {
-                Flit beat = make_flit(Flit::Kind::Payload, 0);
-                beat.payload = ch.m_data();
-                if (fault_on_) {
-                    beat.tag = next_serial_++;
-                    ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
-                    ni.pkt_copy.push_back(beat);
-                }
-                ni.tx.push_back(beat);
-                ++flits_active_;
-                ni.beats = 1;
-                if (ni.beats == ni.burst) {
-                    Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
-                    if (fault_on_) {
-                        pkts_[ni.pkt].tail_serial = next_serial_++;
-                        tail.payload = ni.tx_csum;
-                        ni.pkt_copy.push_back(tail);
-                    }
-                    ni.tx.push_back(tail);
-                    ++flits_active_;
-                    ni.st = fault_on_ ? MasterNi::St::AwaitAck
-                                      : MasterNi::St::Idle;
-                } else {
-                    ni.st = MasterNi::St::CollectWrite;
-                }
-            } else {
-                Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
-                if (fault_on_) {
-                    pkts_[ni.pkt].tail_serial = next_serial_++;
-                    tail.payload = ni.tx_csum;
-                    ni.pkt_copy.push_back(tail);
-                }
-                ni.tx.push_back(tail);
-                ++flits_active_;
-                ni.st = MasterNi::St::AwaitResp;
-            }
+        case MasterNi::St::Idle:
+            if (ch.m_cmd() != ocp::Cmd::Idle) accept(ni);
             break;
-        }
-        case MasterNi::St::CollectWrite: {
+        case MasterNi::St::CollectWrite:
             if (!ocp::is_write(ch.m_cmd())) break; // master must hold the burst
             ch.s_cmd_accept() = true;
             ch.touch_s();
-            if (!ni.err) {
-                Flit beat = make_flit(Flit::Kind::Payload, 0);
-                beat.payload = ch.m_data();
-                if (fault_on_) {
-                    beat.tag = next_serial_++;
-                    ni.tx_csum = csum_step(ni.tx_csum, beat.payload);
-                    ni.pkt_copy.push_back(beat);
-                }
-                if (open_) {
-                    ni.pending.push_back(beat);
-                } else {
-                    ni.tx.push_back(beat);
-                    ++flits_active_;
-                }
-            }
-            ++ni.beats;
-            if (ni.beats == ni.burst) {
-                if (!ni.err) {
-                    Flit tail = make_flit(Flit::Kind::Tail, ni.pkt);
-                    if (fault_on_) {
-                        pkts_[ni.pkt].tail_serial = next_serial_++;
-                        tail.payload = ni.tx_csum;
-                        ni.pkt_copy.push_back(tail);
-                    }
-                    if (open_) {
-                        ni.pending.push_back(tail);
-                        open_seal_packet(ni);
-                    } else {
-                        ni.tx.push_back(tail);
-                        ++flits_active_;
-                    }
-                }
-                ni.st = (fault_on_ && !ni.err) ? MasterNi::St::AwaitAck
-                                               : MasterNi::St::Idle;
-            }
+            write_beat(ni);
             any_activity_ = true;
             break;
-        }
         case MasterNi::St::AwaitResp: {
             // Fault mode: no response and nothing left to inject — check
             // the retry timer (pkt_copy is empty once the transaction
@@ -343,11 +236,11 @@ void XpipesNetwork::eval_master_ni(MasterNi& ni) {
     if (open_) open_drain_pending(ni);
 }
 
-void XpipesNetwork::open_accept(MasterNi& ni) {
+void XpipesNetwork::accept(MasterNi& ni) {
     const ocp::ChannelRef ch = ni.ch;
-    if (ni.pending_tails >= open_pending_limit_) {
-        // Pending queue full: stall the source — the only backpressure an
-        // open-loop source ever sees (docs/traffic.md).
+    // A closed-loop NI holds one packet in tx at a time; an open-loop
+    // source is only ever stalled by a full pending queue (docs/traffic.md).
+    if (open_ ? ni.pending_tails >= open_pending_limit_ : !ni.tx.empty()) {
         stats_.master_wait_cycles[static_cast<std::size_t>(
             &ni - masters_.data())] += 1;
         return;
@@ -357,59 +250,76 @@ void XpipesNetwork::open_accept(MasterNi& ni) {
                    ? std::max<u16>(1, std::min<u16>(ch.m_burst(), ocp::kMaxBurstLen))
                    : u16{1};
     ni.beats = 0;
+    ni.resp_sent = 0;
+    ni.rx.clear();
     const auto slave_idx = map_.decode(ch.m_addr());
     ni.err = !slave_idx;
     any_activity_ = true;
-    ch.s_cmd_accept() = true;
+    ch.s_cmd_accept() = true; // consume the first (or only) beat
     ch.touch_s();
     if (ni.err) {
         ++stats_.decode_errors;
-        // Open-loop masters never wait for read data, so there is nothing
-        // to synthesize; a decode-error write still has its remaining
-        // beats collected (and discarded) by CollectWrite.
-        if (ocp::is_write(ni.cmd)) {
-            ni.beats = 1;
-            ni.st = (ni.beats == ni.burst) ? MasterNi::St::Idle
-                                           : MasterNi::St::CollectWrite;
-        }
-        return;
-    }
-    Packet pk;
-    pk.hdr.cmd = ni.cmd;
-    pk.hdr.addr = ch.m_addr();
-    pk.hdr.burst = ni.burst;
-    pk.hdr.src_node = ni.node;
-    pk.hdr.dest_node = slave_node_[*slave_idx];
-    pk.hdr.is_resp = false;
-    pk.created = now_;
-    pk.inject = now_; // provisional: restamped when the packet drains
-    ni.pkt = new_packet(pk);
-    ni.pending.push_back(make_flit(Flit::Kind::Head, ni.pkt));
-    ++stats_.packets_sent;
-    if (ocp::is_write(ni.cmd)) {
-        Flit beat = make_flit(Flit::Kind::Payload, 0);
-        beat.payload = ch.m_data();
-        ni.pending.push_back(beat);
-        ni.beats = 1;
-        if (ni.beats == ni.burst) {
-            ni.pending.push_back(make_flit(Flit::Kind::Tail, ni.pkt));
-            open_seal_packet(ni);
-        } else {
-            ni.st = MasterNi::St::CollectWrite;
-        }
     } else {
-        // Reads queue Head + Tail and the NI stays Idle: the response is
-        // absorbed at delivery, never replayed over OCP.
-        ni.pending.push_back(make_flit(Flit::Kind::Tail, ni.pkt));
-        open_seal_packet(ni);
+        Packet pk;
+        pk.hdr.cmd = ni.cmd;
+        pk.hdr.addr = ch.m_addr();
+        pk.hdr.burst = ni.burst;
+        pk.hdr.src_node = ni.node;
+        pk.hdr.dest_node = slave_node_[*slave_idx];
+        pk.hdr.is_resp = false;
+        pk.created = now_;
+        pk.inject = now_; // open loop: restamped when the packet drains
+        if (fault_on_) {
+            // The transaction enters the fault domain: retain the packet
+            // for replay, arm the retry timer, open the accountability
+            // window (docs/faults.md).
+            pk.hdr.seq = ++ni.seq;
+            ni.retained = pk;
+            ni.pkt_copy.clear();
+            ni.attempts = 0;
+            ni.first_inject = now_;
+            ni.deadline = now_ + cfg_.fault.retry_timeout;
+            ni.cur_err = false;
+            ni.synth_err = false;
+            ni.resp_taken = false;
+            ni.ack_ok = false;
+            ++pending_txns_;
+            ++stats_.reliability.injected;
+        }
+        ni.pkt = new_packet(pk);
+        ++stats_.packets_sent;
+        emit_request(ni, make_flit(Flit::Kind::Head, ni.pkt));
+    }
+    if (ocp::is_write(ni.cmd)) {
+        write_beat(ni);
+    } else if (!ni.err) {
+        emit_request(ni, make_flit(Flit::Kind::Tail, ni.pkt));
+        // Open-loop reads stay Idle: the response is absorbed at delivery,
+        // never replayed over OCP.
+        if (!open_) ni.st = MasterNi::St::AwaitResp;
+    } else if (!open_) {
+        // A closed-loop master waits for its read: answer with Err beats.
+        // Open-loop masters never wait for read data.
+        ni.rx.assign(ni.burst, RxBeat{kPoison, true});
+        ni.st = MasterNi::St::AwaitResp;
     }
 }
 
-void XpipesNetwork::open_seal_packet(MasterNi& ni) {
-    ++ni.pending_tails;
-    ++open_backlog_;
-    if (ni.pending_tails > stats_.pending_peak)
-        stats_.pending_peak = ni.pending_tails;
+void XpipesNetwork::write_beat(MasterNi& ni) {
+    // A decode-error write has its beats collected and discarded.
+    if (!ni.err) {
+        Flit beat = make_flit(Flit::Kind::Payload, 0);
+        beat.payload = ni.ch.m_data();
+        emit_request(ni, beat);
+    }
+    if (++ni.beats < ni.burst) {
+        ni.st = MasterNi::St::CollectWrite;
+        return;
+    }
+    if (!ni.err) emit_request(ni, make_flit(Flit::Kind::Tail, ni.pkt));
+    // Fault mode: the write is held until the slave's ack (docs/faults.md).
+    ni.st = (fault_on_ && !ni.err) ? MasterNi::St::AwaitAck
+                                   : MasterNi::St::Idle;
 }
 
 void XpipesNetwork::open_drain_pending(MasterNi& ni) {
@@ -475,34 +385,19 @@ void XpipesNetwork::retry_or_give_up(MasterNi& ni) {
             // Reads block the master: synthesize Resp::Err beats so the
             // transaction terminates visibly instead of hanging.
             ni.synth_err = true;
-            ni.rx.clear();
-            for (u16 i = 0; i < ni.burst; ++i)
-                ni.rx.push_back(RxBeat{kPoison, true});
+            ni.rx.assign(ni.burst, RxBeat{kPoison, true});
         }
         return;
     }
     ++ni.attempts;
     ++rel.retries;
     // The replay is a packet of its own (the original's entry is released
-    // when its Tail is consumed) with fresh serials: independent fault
-    // draws, assigned in flit order as on the first attempt.
+    // when its Tail is consumed); the emitter gives it fresh serials, in
+    // flit order as on the first attempt, and the same checksum.
     const u32 h = new_packet(ni.retained);
     for (Flit f : ni.pkt_copy) {
-        switch (f.kind) {
-            case Flit::Kind::Head:
-                f.tag = h;
-                pkts_[h].head_serial = next_serial_++;
-                break;
-            case Flit::Kind::Payload:
-                f.tag = next_serial_++;
-                break;
-            case Flit::Kind::Tail:
-                f.tag = h;
-                pkts_[h].tail_serial = next_serial_++;
-                break;
-        }
-        ni.tx.push_back(f);
-        ++flits_active_;
+        if (f.kind != Flit::Kind::Payload) f.tag = h;
+        emit(ni.tx, ni.tx_csum, f);
     }
     // Bounded exponential backoff: replayed traffic must not amplify the
     // congestion that delayed the original response.
@@ -589,19 +484,12 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             if (ni.beats_resp == 0) {
                 // Response packets are measured per packet, from their own
                 // creation cycle (the request's delivery sample was already
-                // taken when its Tail reached this NI). Responses never
-                // queue at a source, so created == inject and their
-                // source-queueing latency is 0 in open mode.
+                // taken when its Tail reached this NI).
                 ni.resp_err = false;
-                Packet pk = response_packet(ni);
-                if (fault_on_) {
-                    pk.head_serial = next_serial_++;
-                    ni.resp_csum = csum_init();
-                }
-                ni.resp_pkt = new_packet(pk);
-                ni.tx.push_back(make_flit(Flit::Kind::Head, ni.resp_pkt));
-                ++flits_active_;
+                ni.resp_pkt = new_packet(response_packet(ni));
                 ++stats_.packets_sent;
+                emit(ni.tx, ni.resp_csum,
+                     make_flit(Flit::Kind::Head, ni.resp_pkt));
             }
             // An Err beat travels as a poisoned payload with the error flag
             // set, so the far NI can replay it as Resp::Err instead of
@@ -610,25 +498,14 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             beat.err = (ch.s_resp() == ocp::Resp::Err);
             beat.payload = beat.err ? kPoison : ch.s_data();
             if (beat.err) ni.resp_err = true;
-            if (fault_on_) {
-                beat.tag = next_serial_++;
-                ni.resp_csum = csum_step(ni.resp_csum, beat.payload);
-            }
-            ni.tx.push_back(beat);
-            ++flits_active_;
-            ++ni.beats_resp;
-            if (ni.beats_resp == ni.hdr.burst) {
+            emit(ni.tx, ni.resp_csum, beat);
+            if (++ni.beats_resp == ni.hdr.burst) {
                 // The tail summarises the packet: err marks an Err-carrying
                 // response (kept out of the latency percentiles at the far
-                // NI), payload carries the checksum in fault mode.
+                // NI).
                 Flit tail = make_flit(Flit::Kind::Tail, ni.resp_pkt);
                 tail.err = ni.resp_err;
-                if (fault_on_) {
-                    pkts_[ni.resp_pkt].tail_serial = next_serial_++;
-                    tail.payload = ni.resp_csum;
-                }
-                ni.tx.push_back(tail);
-                ++flits_active_;
+                emit(ni.tx, ni.resp_csum, tail);
                 ni.st = SlaveNi::St::Idle;
             }
             break;
@@ -649,19 +526,14 @@ XpipesNetwork::Packet XpipesNetwork::response_packet(const SlaveNi& ni) const {
 
 void XpipesNetwork::push_ack(SlaveNi& ni) {
     // Write acknowledgement: a Head + Tail response-plane packet echoing
-    // the request's seq. Only exists in fault mode (writes stop being
-    // posted end-to-end — the documented cost of reliable delivery).
-    Packet pk = response_packet(ni);
-    pk.head_serial = next_serial_++;
-    pk.tail_serial = next_serial_++;
-    const u32 h = new_packet(pk);
-    ni.tx.push_back(make_flit(Flit::Kind::Head, h));
-    ++flits_active_;
+    // the request's seq, its Tail carrying the checksum of zero beats.
+    // Only exists in fault mode (writes stop being posted end-to-end — the
+    // documented cost of reliable delivery).
+    const u32 h = new_packet(response_packet(ni));
     ++stats_.packets_sent;
-    Flit tail = make_flit(Flit::Kind::Tail, h);
-    tail.payload = csum_init(); // checksum over zero payload beats
-    ni.tx.push_back(tail);
-    ++flits_active_;
+    u32 csum = 0;
+    emit(ni.tx, csum, make_flit(Flit::Kind::Head, h));
+    emit(ni.tx, csum, make_flit(Flit::Kind::Tail, h));
 }
 
 void XpipesNetwork::raise_request(u32 r, std::size_t g) {
@@ -894,6 +766,7 @@ void XpipesNetwork::collect_output(u32 r, std::size_t oi) {
 void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
     switch (flit.kind) {
         case Flit::Kind::Head: {
+            if (!fault_on_) break;
             // Accept only the response the NI is actually waiting for:
             // right state, matching seq, transaction not yet satisfied.
             // Everything else (duplicate acks, replays overtaken by their
@@ -901,22 +774,29 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
             const bool awaiting = (ni.st == MasterNi::St::AwaitResp ||
                                    ni.st == MasterNi::St::AwaitAck) &&
                                   !ni.err && !ni.synth_err && !ni.resp_taken;
-            const bool want = awaiting && pkts_[flit.tag].hdr.seq == ni.seq;
-            ni.rx_discard = !want;
-            if (!want) ++stats_.reliability.stale_discarded;
+            ni.rx_discard = !awaiting || pkts_[flit.tag].hdr.seq != ni.seq;
+            if (ni.rx_discard) ++stats_.reliability.stale_discarded;
             ni.rx_stage.clear();
             ni.rx_csum = csum_init();
             break;
         }
         case Flit::Kind::Payload:
-            if (ni.rx_discard) break;
-            ni.rx_stage.push_back(RxBeat{flit.payload, flit.err});
-            ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
+            if (fault_on_) {
+                // Staged until the Tail's checksum validates.
+                if (ni.rx_discard) break;
+                ni.rx_stage.push_back(RxBeat{flit.payload, flit.err});
+                ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
+            } else if (!open_) {
+                // Open-loop NIs absorb response data: the transaction
+                // completed at the source when the fabric accepted it, so
+                // rx stays empty and ejection never backpressures.
+                ni.rx.push_back(RxBeat{flit.payload, flit.err});
+            }
             break;
         case Flit::Kind::Tail:
-            if (ni.rx_discard) {
+            if (ni.rx_discard) { // fault mode only
                 ni.rx_discard = false;
-            } else if (ni.rx_csum != flit.payload) {
+            } else if (fault_on_ && ni.rx_csum != flit.payload) {
                 // Read data corrupted in flight: reject the packet and
                 // pull the retry deadline in — the replay starts on the
                 // next NI evaluation instead of waiting out the timeout.
@@ -924,15 +804,24 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
                 ni.rx_stage.clear();
                 ni.deadline = now_;
             } else {
-                ++stats_.resp_packets_delivered;
-                ni.resp_taken = true;
-                if (ocp::is_write(ni.cmd)) {
-                    ni.ack_ok = true; // Head+Tail ack packet
-                } else {
-                    for (const RxBeat& b : ni.rx_stage) ni.rx.push_back(b);
+                if (fault_on_) {
+                    ni.resp_taken = true;
+                    ni.cur_err = flit.err;
+                    if (ocp::is_write(ni.cmd))
+                        ni.ack_ok = true; // Head+Tail ack packet
+                    else
+                        ni.rx.insert(ni.rx.end(), ni.rx_stage.begin(),
+                                     ni.rx_stage.end());
+                    ni.rx_stage.clear();
                 }
-                ni.rx_stage.clear();
-                ni.cur_err = flit.err;
+                if (open_) {
+                    if (ni.outstanding > 0) --ni.outstanding;
+                    stats_.last_delivery = now_;
+                }
+                ++stats_.resp_packets_delivered;
+                // Err-carrying responses are counted, not sampled: an error
+                // turnaround is not a service time and would skew p50/p99
+                // (docs/traffic.md).
                 if (flit.err) ++stats_.resp_err_packets;
                 else if (cfg_.collect_latency)
                     record_delivery(flit);
@@ -943,33 +832,32 @@ void XpipesNetwork::deliver_to_master(MasterNi& ni, const Flit& flit) {
 }
 
 void XpipesNetwork::deliver_to_slave(SlaveNi& ni, const Flit& flit) {
-    switch (flit.kind) {
-        case Flit::Kind::Head:
-            ni.rx_pkt_start = static_cast<u32>(ni.rx.size());
-            ni.rx_csum = csum_init();
-            ni.rx.push_back(flit);
-            break;
-        case Flit::Kind::Payload:
-            ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
-            ni.rx.push_back(flit);
-            break;
-        case Flit::Kind::Tail:
-            if (ni.rx_csum != flit.payload) {
+    if (fault_on_) {
+        switch (flit.kind) {
+            case Flit::Kind::Head:
+                ni.rx_pkt_start = static_cast<u32>(ni.rx.size());
+                ni.rx_csum = csum_init();
+                break;
+            case Flit::Kind::Payload:
+                ni.rx_csum = csum_step(ni.rx_csum, flit.payload);
+                break;
+            case Flit::Kind::Tail:
+                if (ni.rx_csum == flit.payload) break;
                 // Write data corrupted in flight: reject the whole packet
                 // before it touches the slave; the master's timeout
                 // replays it.
                 ++stats_.reliability.checksum_fails;
                 ni.rx.resize(ni.rx_pkt_start);
                 free_packet(static_cast<u32>(flit.tag));
-                break;
-            }
-            ni.rx.push_back(flit);
-            ++ni.tails_in_rx;
-            ++stats_.req_packets_delivered;
-            if (cfg_.collect_latency)
-                record_delivery(flit);
-            break;
+                return;
+        }
     }
+    ni.rx.push_back(flit);
+    if (flit.kind != Flit::Kind::Tail) return;
+    ++ni.tails_in_rx;
+    ++stats_.req_packets_delivered;
+    if (open_) stats_.last_delivery = now_;
+    if (cfg_.collect_latency) record_delivery(flit);
 }
 
 void XpipesNetwork::eval_routers() {
@@ -1018,44 +906,10 @@ void XpipesNetwork::eval_routers() {
             continue;
         }
         --flits_active_;
-        if (mv.to == Move::To::Master) {
-            MasterNi& ni = masters_[mv.dst];
-            if (fault_on_) {
-                deliver_to_master(ni, flit);
-            } else if (flit.kind == Flit::Kind::Payload) {
-                // Open-loop NIs absorb response data: the transaction
-                // completed at the source when the fabric accepted it, so
-                // rx stays empty and ejection never backpressures.
-                if (!open_) ni.rx.push_back(RxBeat{flit.payload, flit.err});
-            } else if (flit.kind == Flit::Kind::Tail) {
-                ++stats_.resp_packets_delivered;
-                if (open_) {
-                    if (ni.outstanding > 0) --ni.outstanding;
-                    stats_.last_delivery = now_;
-                }
-                // Err-carrying responses are counted, not sampled: an error
-                // turnaround is not a service time and would skew p50/p99
-                // (docs/traffic.md).
-                if (flit.err) ++stats_.resp_err_packets;
-                else if (cfg_.collect_latency)
-                    record_delivery(flit);
-                free_packet(static_cast<u32>(flit.tag));
-            }
-        } else {
-            SlaveNi& ni = slaves_[mv.dst];
-            if (fault_on_) {
-                deliver_to_slave(ni, flit);
-            } else {
-                ni.rx.push_back(flit);
-                if (flit.kind == Flit::Kind::Tail) {
-                    ++ni.tails_in_rx;
-                    ++stats_.req_packets_delivered;
-                    if (open_) stats_.last_delivery = now_;
-                    if (cfg_.collect_latency)
-                        record_delivery(flit);
-                }
-            }
-        }
+        if (mv.to == Move::To::Master)
+            deliver_to_master(masters_[mv.dst], flit);
+        else
+            deliver_to_slave(slaves_[mv.dst], flit);
     }
 }
 

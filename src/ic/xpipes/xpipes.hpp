@@ -355,7 +355,7 @@ private:
         Packet retained;      ///< header and stamps of the retained request
         u16 seq = 0;          ///< current transaction's sequence number
         u32 attempts = 0;     ///< replays issued for this transaction
-        u32 tx_csum = 0;      ///< running checksum of the request packet
+        u32 tx_csum = 0;      ///< emitter's running request checksum
         Cycle deadline = 0;   ///< retry timer (checked once tx drained)
         Cycle first_inject = 0; ///< first-attempt stamp (retry latency)
         bool cur_err = false;   ///< accepted response carried an Err beat
@@ -387,7 +387,7 @@ private:
         // --- fault-mode state (docs/faults.md) ---
         u32 rx_csum = 0;      ///< checksum of the request packet arriving
         u32 rx_pkt_start = 0; ///< rx index where that packet's head sits
-        u32 resp_csum = 0;    ///< checksum of the response packet being built
+        u32 resp_csum = 0;    ///< emitter's running response checksum
         /// Last sequence number served per requester node (replay dedupe);
         /// 0xFFFFFFFF = none yet.
         std::vector<u32> last_seq;
@@ -474,23 +474,37 @@ private:
     }
     void mark_active(u32 r) { active_[r >> 6] |= u64{1} << (r & 63); }
 
+    /// The one NI packet emitter: appends `f` to the NI queue `q` and
+    /// returns the flit as queued. In fault mode it draws the flit's serial
+    /// (the only place serials are drawn, so they follow emission order),
+    /// restarts the running checksum `csum` on a Head, folds each payload
+    /// into it and writes it into the Tail. Flits count toward
+    /// flits_active_ unless `staged` (an open-loop pending queue, counted
+    /// when it drains into tx).
+    Flit emit(std::deque<Flit>& q, u32& csum, Flit f, bool staged = false);
+    /// Emits one flit of the request packet the master NI is building: into
+    /// tx (closed loop) or the pending queue (open loop, where its Tail
+    /// seals the packet), retained for replay in fault mode.
+    void emit_request(MasterNi& ni, Flit f);
     void eval_master_ni(MasterNi& ni);
+    /// Takes the OCP command at an idle master NI: packetizes it (Head,
+    /// first write beat) or answers a decode error, in every source mode.
+    void accept(MasterNi& ni);
+    /// Takes one write beat (the first comes from accept()): its Payload
+    /// flit, and the Tail after the burst's last beat. A decode-error
+    /// write has its beats collected and discarded.
+    void write_beat(MasterNi& ni);
     void eval_slave_ni(SlaveNi& ni);
     /// Response-plane packet answering the request `ni` serves, created
     /// now (responses never queue at a source: created == inject).
     [[nodiscard]] Packet response_packet(const SlaveNi& ni) const;
-    // --- open-loop source helpers (only called when open_) ---
-    /// Accepts one OCP command beat into the NI's pending queue at the
-    /// offered rate (or stalls the source when the queue is full).
-    void open_accept(MasterNi& ni);
-    /// Seals the packet being built in `pending` (its Tail was just pushed).
-    void open_seal_packet(MasterNi& ni);
-    /// Hands the oldest complete pending packet to tx (restamping inject to
-    /// now) when tx is empty and the outstanding bound allows.
+    /// Open-loop source mode (only called when open_): hands the oldest
+    /// complete pending packet to tx (restamping inject to now) when tx is
+    /// empty and the outstanding bound allows.
     void open_drain_pending(MasterNi& ni);
     /// Tail-delivery latency sampling shared by both NI sides: end-to-end
-    /// always; plus the source-queueing / in-network decomposition and the
-    /// last-delivery stamp in open-loop mode.
+    /// always; plus the source-queueing / in-network decomposition in
+    /// open-loop mode.
     void record_delivery(const Flit& tail);
     void eval_routers();
     void collect_router_moves(u32 r);
@@ -498,17 +512,19 @@ private:
     /// channel `oi` of router `r`.
     void collect_output(u32 r, std::size_t oi);
     void inject(std::deque<Flit>& tx, u16 node, int port, int plane);
+    /// Apply-phase delivery of a response flit to a master NI, in every
+    /// mode: replayed beat by beat over OCP (closed loop), absorbed (open
+    /// loop), or staged, stale-filtered and checksum-validated (fault mode).
+    void deliver_to_master(MasterNi& ni, const Flit& flit);
+    /// Apply-phase delivery of a request flit to a slave NI, in every mode;
+    /// fault mode rejects a packet whose checksum fails.
+    void deliver_to_slave(SlaveNi& ni, const Flit& flit);
 
     // --- fault-mode helpers (no-ops / never called when fault_on_ is
     // false; docs/faults.md documents the protocol) ---
     /// Per-port fault pre-pass: draws fault decisions for FIFO-head flits,
     /// emits drop moves, counts down stalls, and marks blocked ports.
     void collect_port_faults(u32 r);
-    /// Stale-filtering + checksum-validating response reassembly at a
-    /// master NI (apply-phase flit delivery).
-    void deliver_to_master(MasterNi& ni, const Flit& flit);
-    /// Checksum-validating request delivery at a slave NI (apply phase).
-    void deliver_to_slave(SlaveNi& ni, const Flit& flit);
     /// Replays the retained packet with fresh serials and doubled timeout,
     /// or — attempts exhausted — resolves the transaction as lost.
     void retry_or_give_up(MasterNi& ni);
@@ -537,8 +553,9 @@ private:
     /// cfg_.fault.enabled(), cached: every fault hook is guarded on it so
     /// the zero-fault configuration takes none of the new paths.
     bool fault_on_ = false;
-    /// Next flit serial (fault mode); NI-evaluation order is fixed, so the
-    /// assignment — and with it every fault site — is schedule-independent.
+    /// Next flit serial (fault mode), drawn only by emit(); NI-evaluation
+    /// order is fixed, so the assignment — and with it every fault site —
+    /// is schedule-independent.
     u64 next_serial_ = 1;
     /// Master-NI transactions inside the fault domain not yet resolved
     /// (delivered / Err-reported / lost). Keeps quiet_for() at 0 so retry

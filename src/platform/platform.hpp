@@ -81,7 +81,7 @@ struct PlatformConfig {
     /// Legacy-mode (kernel_gating = false) global quiescence-skip bound in
     /// cycles; 0 disables skipping entirely (fully clocked kernel). Skips
     /// never cross a completion-poll boundary, so this only pays off with a
-    /// done_check_interval coarser than the default 1.
+    /// done_check_interval coarser than 1.
     Cycle max_idle_skip = 1u << 20;
     /// How often run() polls its completion predicate, in cycles. Coarser
     /// intervals amortise the all-masters-halted scan on large platforms

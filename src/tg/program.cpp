@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "tg/number.hpp"
+
 namespace tgsim::tg {
 
 namespace {
@@ -47,15 +49,13 @@ std::string clean(const std::string& raw) {
 u8 parse_reg(const std::string& tok) {
     if (tok.size() < 2 || (tok[0] != 'r' && tok[0] != 'R'))
         throw std::invalid_argument{"tgp: bad register '" + tok + "'"};
-    const int n = std::stoi(tok.substr(1));
-    if (n < 0 || n >= kTgNumRegs)
+    const auto n = to_number<u32>(std::string_view{tok}.substr(1), 10);
+    if (!n || *n >= kTgNumRegs)
         throw std::invalid_argument{"tgp: register out of range '" + tok + "'"};
-    return static_cast<u8>(n);
+    return static_cast<u8>(*n);
 }
 
-u32 parse_u32(const std::string& tok) {
-    return static_cast<u32>(std::stoul(tok, nullptr, 0));
-}
+u32 parse_u32(const std::string& tok) { return parse_number<u32>(tok, "tgp", 0); }
 
 TgCmp parse_cmp(const std::string& tok) {
     if (tok == "==") return TgCmp::Eq;

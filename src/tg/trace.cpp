@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "tg/number.hpp"
+
 namespace tgsim::tg {
 
 TraceEvent from_record(const ocp::TransactionRecord& rec) {
@@ -53,8 +55,10 @@ Trace trace_from_text(const std::string& text) {
         std::string kw;
         ls >> kw;
         if (kw == "CORE") {
-            std::string thread_kw;
-            ls >> trace.core_id >> thread_kw >> trace.thread_id;
+            std::string core, thread_kw, thread;
+            ls >> core >> thread_kw >> thread;
+            trace.core_id = parse_number<u32>(core, "trc");
+            trace.thread_id = parse_number<u32>(thread, "trc");
         } else if (kw == "EVT") {
             TraceEvent ev;
             std::string cmd, addr, field;
@@ -64,7 +68,7 @@ Trace trace_from_text(const std::string& text) {
             else if (cmd == "BRD") ev.cmd = ocp::Cmd::BurstRead;
             else if (cmd == "BWR") ev.cmd = ocp::Cmd::BurstWrite;
             else throw std::invalid_argument{"trc: bad cmd " + cmd};
-            ev.addr = static_cast<u32>(std::stoul(addr, nullptr, 0));
+            ev.addr = parse_number<u32>(addr, "trc", 0);
             while (ls >> field) {
                 const auto eq = field.find('=');
                 if (eq == std::string::npos)
@@ -72,15 +76,17 @@ Trace trace_from_text(const std::string& text) {
                 const std::string key = field.substr(0, eq);
                 const std::string val = field.substr(eq + 1);
                 if (key == "burst") {
-                    ev.burst = static_cast<u16>(std::stoul(val));
+                    ev.burst = parse_number<u16>(val, "trc");
                 } else if (key == "assert") {
-                    ev.t_assert = std::stoull(val);
+                    ev.t_assert = parse_number<Cycle>(val, "trc");
                 } else if (key == "accept") {
-                    ev.t_accept = std::stoull(val);
+                    ev.t_accept = parse_number<Cycle>(val, "trc");
                 } else if (key == "resp") {
                     const auto colon = val.find(':');
-                    ev.t_resp_first = std::stoull(val.substr(0, colon));
-                    ev.t_resp_last = std::stoull(val.substr(colon + 1));
+                    ev.t_resp_first =
+                        parse_number<Cycle>(val.substr(0, colon), "trc");
+                    ev.t_resp_last =
+                        parse_number<Cycle>(val.substr(colon + 1), "trc");
                 } else if (key == "data") {
                     if (val.size() < 2 || val.front() != '[' || val.back() != ']')
                         throw std::invalid_argument{"trc: bad data list"};
@@ -88,15 +94,16 @@ Trace trace_from_text(const std::string& text) {
                     std::string tok;
                     while (std::getline(ds, tok, ','))
                         if (!tok.empty())
-                            ev.data.push_back(
-                                static_cast<u32>(std::stoul(tok, nullptr, 0)));
+                            ev.data.push_back(parse_number<u32>(tok, "trc", 0));
                 } else {
                     throw std::invalid_argument{"trc: unknown field " + key};
                 }
             }
             trace.events.push_back(std::move(ev));
         } else if (kw == "END") {
-            ls >> trace.end_cycle;
+            std::string end;
+            ls >> end;
+            trace.end_cycle = parse_number<Cycle>(end, "trc");
             got_end = true;
         } else {
             throw std::invalid_argument{"trc: unexpected line: " + line};

@@ -292,9 +292,9 @@ TEST(Crossbar, DecodeErrorDoesNotWedge) {
 // --- ×pipes mesh ---
 
 TEST(Xpipes, RejectsBadConfigurations) {
-    EXPECT_THROW(ic::XpipesNetwork({0, 3, 4}), std::invalid_argument);
-    EXPECT_THROW(ic::XpipesNetwork({3, 3, 1}), std::invalid_argument);
-    ic::XpipesNetwork net{{2, 2, 4}};
+    EXPECT_THROW(ic::XpipesNetwork(mesh_cfg(0, 3, 4)), std::invalid_argument);
+    EXPECT_THROW(ic::XpipesNetwork(mesh_cfg(3, 3, 1)), std::invalid_argument);
+    ic::XpipesNetwork net{mesh_cfg(2, 2, 4)};
     ocp::Channel a, b;
     net.connect_master(a, 0);
     EXPECT_THROW(net.connect_master(b, 0), std::invalid_argument);
@@ -302,7 +302,7 @@ TEST(Xpipes, RejectsBadConfigurations) {
 }
 
 TEST(Xpipes, WriteReadRoundTripAcrossMesh) {
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{3, 3, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(3, 3, 4)};
     auto& m = rig.add_master(0);
     auto& mem = rig.add_mem(0x0, 0x1000, SlaveTiming{1, 1, 1}, 8); // far corner
     (void)mem;
@@ -317,7 +317,7 @@ TEST(Xpipes, WriteReadRoundTripAcrossMesh) {
 
 TEST(Xpipes, ReadLatencyGrowsWithHopDistance) {
     const auto latency = [](int slave_node) {
-        IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{4, 4, 4}};
+        IcRig<ic::XpipesNetwork> rig{mesh_cfg(4, 4, 4)};
         auto& m = rig.add_master(0);
         (void)m;
         rig.add_mem(0x0, 0x1000, SlaveTiming{1, 1, 1}, slave_node);
@@ -332,7 +332,7 @@ TEST(Xpipes, ReadLatencyGrowsWithHopDistance) {
 }
 
 TEST(Xpipes, CoLocatedMasterAndSlaveWork) {
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{2, 2, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(2, 2, 4)};
     auto& m = rig.add_master(1);
     auto& mem = rig.add_mem(0x0, 0x1000, SlaveTiming{1, 1, 1}, 1);
     rig.finish_wiring();
@@ -343,7 +343,7 @@ TEST(Xpipes, CoLocatedMasterAndSlaveWork) {
 }
 
 TEST(Xpipes, BurstTransfersPreserveDataAndOrder) {
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{3, 2, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(3, 2, 4)};
     auto& m = rig.add_master(0);
     auto& mem = rig.add_mem(0x0, 0x1000, SlaveTiming{1, 1, 1}, 5);
     rig.finish_wiring();
@@ -357,7 +357,7 @@ TEST(Xpipes, BurstTransfersPreserveDataAndOrder) {
 }
 
 TEST(Xpipes, ConcurrentMastersDistinctSlaves) {
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{3, 3, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(3, 3, 4)};
     auto& m0 = rig.add_master(0);
     auto& m1 = rig.add_master(2);
     auto& memA = rig.add_mem(0x0, 0x1000, SlaveTiming{1, 1, 1}, 6);
@@ -377,7 +377,7 @@ TEST(Xpipes, ConcurrentMastersDistinctSlaves) {
 TEST(Xpipes, TinyFifosStillDeliverEverything) {
     // Backpressure path: minimum-depth FIFOs, long bursts, two masters
     // hammering one slave. Nothing may be lost or reordered per master.
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{3, 3, 2}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(3, 3, 2)};
     auto& m0 = rig.add_master(0);
     auto& m1 = rig.add_master(8);
     rig.add_mem(0x0, 0x10000, SlaveTiming{2, 2, 1}, 4);
@@ -398,7 +398,7 @@ TEST(Xpipes, SlaveErrMidBurstPropagatesToMaster) {
     // *payload* at the slave NI and reported to the master as Dva — errors
     // silently vanished across the mesh. The error flag must survive
     // per beat: Err exactly where the slave erred, Dva elsewhere.
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{3, 3, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(3, 3, 4)};
     auto& m = rig.add_master(0);
     rig.chans.push_back(std::make_unique<ocp::Channel>());
     ErrSlave errsl{*rig.chans.back(), {2, 5}};
@@ -426,7 +426,7 @@ TEST(Xpipes, SlaveErrMidBurstPropagatesToMaster) {
 }
 
 TEST(Xpipes, DecodeErrorSynthesizedLocally) {
-    IcRig<ic::XpipesNetwork> rig{ic::XpipesConfig{2, 2, 4}};
+    IcRig<ic::XpipesNetwork> rig{mesh_cfg(2, 2, 4)};
     auto& m = rig.add_master(0);
     rig.add_mem(0x1000, 0x100, SlaveTiming{1, 1, 1}, 1);
     rig.finish_wiring();

@@ -130,5 +130,88 @@ TEST(ParserMutation, MissingCallArgumentIsInvalidArgument) {
                  std::invalid_argument);
 }
 
+/// `text` must be rejected with std::invalid_argument naming `token`.
+template <typename Parse>
+void expect_bad_number(Parse&& parse, const std::string& text,
+                       const std::string& token) {
+    SCOPED_TRACE(text);
+    try {
+        (void)parse(text);
+        ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find("'" + token + "'"),
+                  std::string::npos)
+            << e.what();
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << "threw a non-invalid_argument: " << e.what();
+    }
+}
+
+/// A one-event trace whose EVT line is `evt`.
+std::string trace_with(const std::string& evt) {
+    return "CORE 0 THREAD 0\n" + evt + "\nEND 10\n";
+}
+
+TEST(ParserNumbers, TraceRejectsBadNumbers) {
+    const auto parse = [](const std::string& t) {
+        return tg::trace_from_text(t);
+    };
+    const std::string tail = " burst=1 assert=1 accept=2 resp=3:3 data=[0x1]";
+    // Wider than the 32-bit address: used to truncate to 0xFFFFFFFF.
+    expect_bad_number(parse, trace_with("EVT RD 0x1FFFFFFFF" + tail),
+                      "0x1FFFFFFFF");
+    // Trailing garbage: used to parse as 12.
+    expect_bad_number(parse, trace_with("EVT RD 12abc" + tail), "12abc");
+    // Wider than the 16-bit burst length: used to truncate.
+    expect_bad_number(
+        parse,
+        trace_with("EVT RD 0x10 burst=70000 assert=1 accept=2 resp=3:3 "
+                   "data=[0x1]"),
+        "70000");
+    // Past 64 bits: used to escape as std::out_of_range ("stoull").
+    expect_bad_number(
+        parse,
+        trace_with("EVT RD 0x10 burst=1 assert=99999999999999999999999 "
+                   "accept=2 resp=3:3 data=[0x1]"),
+        "99999999999999999999999");
+    expect_bad_number(
+        parse,
+        trace_with("EVT RD 0x10 burst=1 assert=1 accept=2 resp=3:3x "
+                   "data=[0x1]"),
+        "3x");
+    expect_bad_number(
+        parse,
+        trace_with("EVT WR 0x10 burst=1 assert=1 accept=2 resp=3:3 "
+                   "data=[0x100000000]"),
+        "0x100000000");
+    // CORE and END numbers: used to read as 0 and 1 through operator>>.
+    expect_bad_number(parse, "CORE zz THREAD 0\nEND 10\n", "zz");
+    expect_bad_number(parse, "CORE 0 THREAD 0\nEND 1x\n", "1x");
+    // The well-formed event still parses.
+    const tg::Trace ok = tg::trace_from_text(trace_with("EVT RD 0x10" + tail));
+    ASSERT_EQ(ok.events.size(), 1u);
+    EXPECT_EQ(ok.events[0].addr, 0x10u);
+}
+
+TEST(ParserNumbers, ProgramRejectsBadNumbers) {
+    const auto parse = [](const std::string& t) {
+        return tg::program_from_text(t);
+    };
+    const auto prog = [](const std::string& body) {
+        return "MASTER[0,0]\nBEGIN\n  " + body + "\n  Halt\nEND\n";
+    };
+    expect_bad_number(parse, prog("SetRegister(r1, 0x1FFFFFFFF)"),
+                      "0x1FFFFFFFF");
+    expect_bad_number(parse, prog("Idle(12abc)"), "12abc");
+    expect_bad_number(parse, prog("Idle(99999999999999999999999)"),
+                      "99999999999999999999999");
+    // A register index past int used to escape as std::out_of_range.
+    expect_bad_number(parse, prog("Read(r99999999999)"), "r99999999999");
+    expect_bad_number(parse, "MASTER[0,1x]\nBEGIN\n  Halt\nEND\n", "1x");
+    const tg::TgProgram ok = tg::program_from_text(prog("Idle(0x10)"));
+    ASSERT_EQ(ok.instrs.size(), 2u);
+    EXPECT_EQ(ok.instrs[0].imm, 0x10u);
+}
+
 } // namespace
 } // namespace tgsim

@@ -13,6 +13,7 @@
 #include "apps/apps.hpp"
 #include "sweep/shard.hpp"
 #include "sweep/sweep.hpp"
+#include "test_util.hpp"
 #include "tg/patterns.hpp"
 
 namespace tgsim::sweep {
@@ -38,7 +39,7 @@ Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
     c.cfg.ic = platform::IcKind::Xpipes;
     c.cfg.xpipes = mesh;
     c.cfg.xpipes.collect_latency = true;
-    c.injection_rate = rate;
+    c.source.rate = rate;
     c.name = describe_fabric(c.cfg) + " r=" + std::to_string(rate);
     return c;
 }
@@ -46,8 +47,8 @@ Candidate mesh_candidate(const ic::XpipesConfig& mesh, double rate) {
 /// 2 meshes x 5 rates = 10 candidates (mesh must host 16 cores + slaves).
 std::vector<Candidate> small_shard_grid() {
     std::vector<Candidate> out;
-    for (const ic::XpipesConfig mesh :
-         {ic::XpipesConfig{5, 4, 2}, ic::XpipesConfig{6, 3, 2}})
+    for (const ic::XpipesConfig& mesh :
+         {test::mesh_cfg(5, 4, 2), test::mesh_cfg(6, 3, 2)})
         for (const double rate : {0.01, 0.02, 0.04, 0.08, 0.16})
             out.push_back(mesh_candidate(mesh, rate));
     return out;

@@ -44,8 +44,8 @@ Payload make_payload(u32 cores = 2, u32 size = 8) {
 std::vector<Candidate> small_grid() {
     GridSpec grid;
     grid.amba_fixed_priority = false; // livelocks mp_matrix; tested separately
-    grid.meshes.push_back(ic::XpipesConfig{0, 0, 4});
-    grid.meshes.push_back(ic::XpipesConfig{4, 1, 2});
+    grid.meshes.push_back(test::mesh_cfg(0, 0, 4));
+    grid.meshes.push_back(test::mesh_cfg(4, 1, 2));
     return make_grid(grid);
 }
 
@@ -117,7 +117,7 @@ TEST(SweepDriver, ErrorCandidateDoesNotAbortSweep) {
     Candidate broken;
     broken.name = "broken mesh";
     broken.cfg.ic = platform::IcKind::Xpipes;
-    broken.cfg.xpipes = ic::XpipesConfig{1, 1, 4};
+    broken.cfg.xpipes = test::mesh_cfg(1, 1, 4);
     grid.insert(grid.begin() + 1, broken);
 
     SweepOptions opts;
@@ -209,8 +209,8 @@ TEST(Seeds, DeriveSeedIsStableAndCollisionFree) {
 
 TEST(Grid, MakeGridCoversRequestedAxes) {
     GridSpec spec;
-    spec.meshes.push_back(ic::XpipesConfig{2, 2, 4});
-    spec.meshes.push_back(ic::XpipesConfig{0, 0, 8});
+    spec.meshes.push_back(test::mesh_cfg(2, 2, 4));
+    spec.meshes.push_back(test::mesh_cfg(0, 0, 8));
     const auto grid = make_grid(spec);
     ASSERT_EQ(grid.size(), 5u); // amba rr + amba fp + crossbar + 2 meshes
     EXPECT_EQ(grid[0].name, "amba rr");

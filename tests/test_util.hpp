@@ -16,6 +16,16 @@ namespace tgsim::test {
 
 inline constexpr Cycle kMaxCycles = 80'000'000;
 
+/// A WxH ×pipes mesh with `fifo_depth`-flit router FIFOs, every other
+/// field at its default.
+inline ic::XpipesConfig mesh_cfg(u32 width, u32 height, u32 fifo_depth) {
+    ic::XpipesConfig cfg;
+    cfg.width = width;
+    cfg.height = height;
+    cfg.fifo_depth = fifo_depth;
+    return cfg;
+}
+
 struct FlowResult {
     platform::RunResult ref;
     platform::RunResult tg;

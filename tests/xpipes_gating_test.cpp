@@ -72,7 +72,7 @@ struct MeshObservation {
 /// seeded random traffic, and collects everything externally observable.
 MeshObservation run_mesh(u32 width, u32 height, u32 fifo_depth, bool gating,
                          u32 seed, u32 ops_per_master) {
-    ic::XpipesConfig cfg{width, height, fifo_depth};
+    ic::XpipesConfig cfg = mesh_cfg(width, height, fifo_depth);
     cfg.router_gating = gating;
     cfg.collect_latency = true;
     MeshRig rig{cfg};
@@ -164,7 +164,7 @@ TEST(XpipesRouterGating, RandomTrafficBitIdentical) {
 /// One master (corner 0) -> one slave (far corner) on a 16x16 mesh; returns
 /// {last response cycle, router visits}.
 std::pair<Cycle, u64> run_single_flow_visits(bool gating) {
-    ic::XpipesConfig cfg{16, 16, 4};
+    ic::XpipesConfig cfg = mesh_cfg(16, 16, 4);
     cfg.router_gating = gating;
     MeshRig rig{cfg};
     auto& m = rig.add_master(0);
@@ -188,7 +188,7 @@ TEST(XpipesRouterGating, SingleFlowVisitsScaleWithPathNotMesh) {
 
 TEST(XpipesRouterGating, DecodeErrorsIdenticalAcrossModes) {
     for (const bool gating : {true, false}) {
-        ic::XpipesConfig cfg{3, 3, 4};
+        ic::XpipesConfig cfg = mesh_cfg(3, 3, 4);
         cfg.router_gating = gating;
         MeshRig rig{cfg};
         auto& m = rig.add_master(0);
@@ -212,7 +212,7 @@ TEST(XpipesRouterGating, PlatformFlowBitIdentical) {
         platform::PlatformConfig cfg;
         cfg.n_cores = 3;
         cfg.ic = platform::IcKind::Xpipes;
-        cfg.xpipes = ic::XpipesConfig{0, 0, 4};
+        cfg.xpipes = mesh_cfg(0, 0, 4);
         cfg.xpipes.router_gating = gating;
         platform::Platform p{cfg};
         p.load_workload(apps::make_mp_matrix({3, 10}));
@@ -247,12 +247,15 @@ struct GoldenFabric {
     double rate;  ///< Poisson arrivals per cycle and master
     u64 budget;   ///< transactions per master
     bool open;    ///< open-loop sources (pending queue at the master NI)
+    /// One more target, as likely as each memory, that no slave maps: the
+    /// master NIs answer it with decode errors.
+    bool unmapped;
 };
 
 struct RouterObservation {
     Cycle cycles = 0; ///< kernel time when every master halted and drained
     u64 nodes = 0, flits = 0, visits = 0, phase_cycles = 0, master_wait = 0;
-    u64 packets = 0, lat_count = 0, lat_fnv = 0;
+    u64 packets = 0, lat_count = 0, lat_fnv = 0, decode_errors = 0;
     stats::ReliabilityStats rel;
 };
 
@@ -284,6 +287,7 @@ RouterObservation run_golden(const GoldenFabric& f, bool gating) {
             sch[j], SlaveTiming{1 + j % 3, 1 + j % 2, 1}, kStride * j,
             kWindow));
     }
+    if (f.unmapped) targets.push_back({0xEE000000u, kWindow, 1});
     for (u32 i = 0; i < pairs; ++i) {
         net.connect_master(mch[i], static_cast<int>(2 * i));
         tg::StochasticConfig c;
@@ -319,6 +323,7 @@ RouterObservation run_golden(const GoldenFabric& f, bool gating) {
     o.phase_cycles = s.router_phase_cycles;
     o.master_wait = net.contention_cycles();
     o.packets = s.packets_sent;
+    o.decode_errors = s.decode_errors;
     o.rel = s.reliability;
     o.lat_count = s.packet_latency.count();
     u64 h = 0xcbf29ce484222325ull;
@@ -373,15 +378,21 @@ TEST(XpipesRouterGoldens, MatchPreRewriteRouterInBothModes) {
     faulty.fault.stall_rate = 0.004;
     faulty.fault.seed = 99;
     faulty.fault.retry_timeout = 256;
+    const ic::XpipesConfig mesh4x4 = golden_cfg(TopologyKind::Mesh, 4, 4);
     const GoldenFabric fabrics[] = {
         {"mesh16x16_a2a", golden_cfg(TopologyKind::Mesh, 16, 16), 0.15, 20,
-         false},
+         false, false},
         {"torus8x8_a2a", golden_cfg(TopologyKind::Torus, 8, 8), 0.2, 30,
-         false},
-        {"ring18_table", table, 0.2, 40, false},
-        {"mesh4x4_fault", faulty, 0.1, 60, false},
-        {"mesh4x4_open", golden_cfg(TopologyKind::Mesh, 4, 4), 0.3, 60, true},
-        {"star71_table", star, 0.2, 15, false},
+         false, false},
+        {"ring18_table", table, 0.2, 40, false, false},
+        {"mesh4x4_fault", faulty, 0.1, 60, false, false},
+        {"mesh4x4_open", mesh4x4, 0.3, 60, true, false},
+        {"star71_table", star, 0.2, 15, false, false},
+        // Decode errors in every source mode: closed, open-loop and
+        // fault-injected masters all meet the unmapped target.
+        {"mesh4x4_unmapped", mesh4x4, 0.1, 60, false, true},
+        {"mesh4x4_unmapped_open", mesh4x4, 0.3, 60, true, true},
+        {"mesh4x4_unmapped_fault", faulty, 0.1, 60, false, true},
     };
     struct Golden {
         Cycle cycles;
@@ -391,17 +402,25 @@ TEST(XpipesRouterGoldens, MatchPreRewriteRouterInBothModes) {
         /// flits_corrupted, packets_dropped, stall_events, stall_cycles,
         /// checksum_fails, stale_discarded, dup_requests
         u64 rel[13];
+        u64 decode_errors;
     };
     const Golden goldens[] = {
         {964, 226033, 145844, 961, 255, 3855, 3855, 0x94088f89d51640b1ull,
-         {}},
-        {830, 35849, 27499, 809, 12, 1474, 1474, 0xa2942933b411400full, {}},
-        {927, 10512, 8523, 917, 27, 547, 547, 0x3030dbdc1eb8bacull, {}},
+         {}, 0},
+        {830, 35849, 27499, 809, 12, 1474, 1474, 0xa2942933b411400full, {},
+         0},
+        {927, 10512, 8523, 917, 27, 547, 547, 0x3030dbdc1eb8bacull, {}, 0},
         {4200, 16409, 15761, 3560, 0, 992, 992, 0xbbb35497d044bd83ull,
-         {480, 480, 0, 45, 0, 53, 32, 23, 77, 332, 30, 0, 32}},
-        {572, 13741, 7843, 553, 82, 722, 722, 0x93a20435a8876301ull, {}},
-        {384, 11544, 7875, 372, 30, 806, 806, 0xe72552708ae545bdull, {}},
+         {480, 480, 0, 45, 0, 53, 32, 23, 77, 332, 30, 0, 32}, 0},
+        {572, 13741, 7843, 553, 82, 722, 722, 0x93a20435a8876301ull, {}, 0},
+        {384, 11544, 7875, 372, 30, 806, 806, 0xe72552708ae545bdull, {}, 0},
+        {1496, 12020, 10089, 1457, 5, 637, 637, 0x88cb1e340cc87745ull, {},
+         55},
+        {533, 12077, 7087, 521, 20, 645, 645, 0xc892f9c20f164008ull, {}, 54},
+        {3278, 14853, 14050, 2997, 0, 867, 867, 0xe9be7edf8a8e946full,
+         {425, 425, 0, 39, 0, 40, 31, 11, 65, 280, 29, 0, 17}, 55},
     };
+    static_assert(std::size(goldens) == std::size(fabrics));
     for (std::size_t k = 0; k < std::size(fabrics); ++k) {
         const GoldenFabric& f = fabrics[k];
         const Golden& g = goldens[k];
@@ -419,6 +438,7 @@ TEST(XpipesRouterGoldens, MatchPreRewriteRouterInBothModes) {
             EXPECT_EQ(o.packets, g.packets);
             EXPECT_EQ(o.lat_count, g.lat_count);
             EXPECT_EQ(o.lat_fnv, g.lat_fnv);
+            EXPECT_EQ(o.decode_errors, g.decode_errors);
             const u64 rel[13] = {
                 o.rel.injected,        o.rel.delivered,
                 o.rel.err_delivered,   o.rel.recovered,

@@ -126,7 +126,7 @@ int run(const cli::OptionSet& o) {
         // parse time with the reason spelled out.
         std::fprintf(stderr,
                      "--source=open does not compose with --fault-rate yet "
-                     "(both modes rewrite the master NI send path)\n");
+                     "(fault recovery holds one transaction per master NI)\n");
         return 1;
     }
 

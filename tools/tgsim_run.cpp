@@ -34,7 +34,6 @@ int run(const cli::OptionSet& o) {
     cfg.n_cores = static_cast<u32>(workload.cores.size());
     cfg.ic = o.get_choice<platform::IcKind>("ic");
     cfg.collect_traces = o.has("trace-dir");
-    cfg.done_check_interval = 1024;
     if (o.has("no-skip")) { // fully clocked kernel (paper-faithful costs)
         cfg.kernel_gating = false;
         cfg.max_idle_skip = 0;

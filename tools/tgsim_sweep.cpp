@@ -263,7 +263,7 @@ int run_pattern_mode(const cli::OptionSet& o) {
     if (source.open() && any_fault) {
         std::fprintf(stderr,
                      "--source=open does not compose with --fault-rate yet "
-                     "(both modes rewrite the master NI send path)\n");
+                     "(fault recovery holds one transaction per master NI)\n");
         return 1;
     }
 
@@ -278,7 +278,6 @@ int run_pattern_mode(const cli::OptionSet& o) {
                 c.cfg.xpipes = fabric;
                 c.cfg.xpipes.collect_latency = true;
                 c.cfg.xpipes.fault = cli::make_fault(frate, fault_seed);
-                c.injection_rate = rate;
                 c.source = source;
                 c.source.rate = rate;
                 // describe_fabric appends the fault axis itself when it is
