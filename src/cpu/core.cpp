@@ -4,30 +4,21 @@
 
 namespace tgsim::cpu {
 
-namespace {
-constexpr u32 kPoison = 0xDEADBEEFu;
-} // namespace
-
 CpuCore::CpuCore(ocp::ChannelRef channel, CpuConfig cfg)
-    : ch_(channel), cfg_(std::move(cfg)), icache_(cfg_.icache), dcache_(cfg_.dcache) {}
+    : port_(channel), cfg_(std::move(cfg)), icache_(cfg_.icache), dcache_(cfg_.dcache) {}
 
 void CpuCore::reset(u32 entry_addr) {
     regs_.fill(0);
     pc_word_ = entry_addr / 4u;
     state_ = State::Run;
     stall_left_ = 0;
-    req_ = Request{};
     memop_ = MemOp::None;
     cycle_ = 0;
     halt_cycle_ = 0;
     stats_ = CpuStats{};
     icache_.invalidate_all();
     dcache_.invalidate_all();
-    ch_.clear_request();
-    ch_.touch_m();
-    driven_ = DriveState::Idle;
-    req_gen_ = 0;
-    driven_gen_ = 0;
+    port_.reset();
 }
 
 bool CpuCore::cacheable(u32 addr) const noexcept {
@@ -36,41 +27,8 @@ bool CpuCore::cacheable(u32 addr) const noexcept {
     return false;
 }
 
-void CpuCore::eval() {
-    const bool drive_req = req_.active && !req_.accepted;
-    const bool await_resp = req_.active && ocp::is_read(req_.cmd);
-    const DriveState desired = drive_req    ? DriveState::Request
-                               : await_resp ? DriveState::RespWait
-                                            : DriveState::Idle;
-    if (desired == driven_ &&
-        (desired != DriveState::Request || driven_gen_ == req_gen_))
-        return; // wires already hold the right values
-    switch (desired) {
-        case DriveState::Idle:
-            ch_.clear_request();
-            break;
-        case DriveState::Request:
-            ch_.m_cmd() = req_.cmd;
-            ch_.m_addr() = req_.addr;
-            ch_.m_data() = req_.data;
-            ch_.m_burst() = req_.burst;
-            ch_.m_resp_accept() = ocp::is_read(req_.cmd);
-            break;
-        case DriveState::RespWait:
-            ch_.m_cmd() = ocp::Cmd::Idle;
-            ch_.m_addr() = 0;
-            ch_.m_data() = 0;
-            ch_.m_burst() = 1;
-            ch_.m_resp_accept() = true;
-            break;
-    }
-    driven_ = desired;
-    driven_gen_ = req_gen_;
-    ch_.touch_m();
-}
-
 Cycle CpuCore::quiet_for() const {
-    if (driven_ != DriveState::Idle) return 0; // wires not settled
+    if (!port_.settled()) return 0;
     if (state_ == State::Halted) return sim::kQuietForever;
     if (state_ == State::Stall) return stall_left_ - 1;
     return 0;
@@ -110,33 +68,17 @@ void CpuCore::advance(u32 extra_stall) noexcept {
     }
 }
 
-void CpuCore::start_burst_read(MemOp kind, u32 line_addr, u16 beats) {
-    req_ = Request{};
-    req_.active = true;
-    req_.cmd = ocp::Cmd::BurstRead;
-    req_.addr = line_addr;
-    req_.burst = beats;
+void CpuCore::start(MemOp kind, ocp::Cmd cmd, u32 addr, u16 burst, u32 data) {
+    port_.issue(cmd, addr, burst, data);
     memop_ = kind;
     state_ = State::MemWait;
-    ++req_gen_;
-}
-
-void CpuCore::start_single(MemOp kind, ocp::Cmd cmd, u32 addr, u32 data) {
-    req_ = Request{};
-    req_.active = true;
-    req_.cmd = cmd;
-    req_.addr = addr;
-    req_.data = data;
-    memop_ = kind;
-    state_ = State::MemWait;
-    ++req_gen_;
 }
 
 void CpuCore::execute_one() {
     const u32 fetch_addr = pc_word_ * 4u;
     if (!icache_.lookup(fetch_addr)) {
-        start_burst_read(MemOp::IFetch, icache_.line_base(fetch_addr),
-                         static_cast<u16>(icache_.config().line_words));
+        start(MemOp::IFetch, ocp::Cmd::BurstRead, icache_.line_base(fetch_addr),
+              static_cast<u16>(icache_.config().line_words));
         return;
     }
     execute(decode(icache_.read(fetch_addr)));
@@ -199,11 +141,12 @@ void CpuCore::execute(const DecodedInstr& d) {
                     write_reg(d.rd, dcache_.read(addr));
                     next();
                 } else {
-                    start_burst_read(MemOp::LoadRefill, dcache_.line_base(addr),
-                                     static_cast<u16>(dcache_.config().line_words));
+                    start(MemOp::LoadRefill, ocp::Cmd::BurstRead,
+                          dcache_.line_base(addr),
+                          static_cast<u16>(dcache_.config().line_words));
                 }
             } else {
-                start_single(MemOp::LoadUncached, ocp::Cmd::Read, addr, 0);
+                start(MemOp::LoadUncached, ocp::Cmd::Read, addr, 1);
             }
             break;
         }
@@ -212,7 +155,7 @@ void CpuCore::execute(const DecodedInstr& d) {
             const u32 addr = a + static_cast<u32>(d.imm);
             const u32 value = b;
             if (cacheable(addr)) dcache_.write_if_present(addr, value);
-            start_single(MemOp::Store, ocp::Cmd::Write, addr, value);
+            start(MemOp::Store, ocp::Cmd::Write, addr, 1, value);
             break;
         }
 
@@ -258,54 +201,35 @@ void CpuCore::execute(const DecodedInstr& d) {
 }
 
 void CpuCore::mem_progress() {
-    // Command accept (both read command consume and posted-write completion).
-    if (req_.active && !req_.accepted && ch_.s_cmd_accept()) {
-        req_.accepted = true;
-        if (memop_ == MemOp::Store) {
-            req_ = Request{};
-            memop_ = MemOp::None;
+    const ocp::MasterPort::Sample s = port_.sample();
+    if (s.beat) {
+        if (s.err) ++stats_.bus_errors;
+        line_[port_.beats() - 1u] = port_.data();
+    }
+    if (!s.done) return;
+    const std::span<const u32> line{line_.data(), port_.burst()};
+    switch (memop_) {
+        case MemOp::IFetch:
+            icache_.fill(port_.addr(), line);
+            // pc unchanged: the fetch retries next cycle and hits.
+            break;
+        case MemOp::LoadRefill:
+            dcache_.fill(port_.addr(), line);
+            write_reg(pending_rd_, line_[(pending_addr_ - port_.addr()) / 4u]);
             ++pc_word_;
-            state_ = State::Run;
-            return;
-        }
+            break;
+        case MemOp::LoadUncached:
+            write_reg(pending_rd_, port_.data());
+            ++pc_word_;
+            break;
+        case MemOp::Store: // posted: complete at command accept
+            ++pc_word_;
+            break;
+        case MemOp::None:
+            break;
     }
-    if (!req_.active || !ocp::is_read(req_.cmd)) return;
-
-    // Response beats.
-    if (ch_.s_resp() != ocp::Resp::None) {
-        const u32 beat =
-            (ch_.s_resp() == ocp::Resp::Err) ? kPoison : ch_.s_data();
-        if (ch_.s_resp() == ocp::Resp::Err) ++stats_.bus_errors;
-        req_.buf[req_.beats] = beat;
-        ++req_.beats;
-        const bool last = ch_.s_resp_last() || req_.beats == req_.burst;
-        if (!last) return;
-
-        switch (memop_) {
-            case MemOp::IFetch:
-                icache_.fill(req_.addr,
-                             std::span<const u32>{req_.buf.data(), req_.burst});
-                // pc unchanged: the fetch retries next cycle and hits.
-                break;
-            case MemOp::LoadRefill: {
-                dcache_.fill(req_.addr,
-                             std::span<const u32>{req_.buf.data(), req_.burst});
-                const u32 word_idx = (pending_addr_ - req_.addr) / 4u;
-                write_reg(pending_rd_, req_.buf[word_idx]);
-                ++pc_word_;
-                break;
-            }
-            case MemOp::LoadUncached:
-                write_reg(pending_rd_, req_.buf[0]);
-                ++pc_word_;
-                break;
-            default:
-                break;
-        }
-        req_ = Request{};
-        memop_ = MemOp::None;
-        state_ = State::Run;
-    }
+    memop_ = MemOp::None;
+    state_ = State::Run;
 }
 
 } // namespace tgsim::cpu

@@ -10,6 +10,7 @@
 // The core exposes done()/halt_cycle() so the platform can implement the
 // paper's "cumulative execution time" metric, and its traffic is observed
 // externally by a ChannelMonitor — the same attach point used for TGs.
+// The port handshake, including its drive cache, is ocp::MasterPort's.
 #pragma once
 
 #include <array>
@@ -17,7 +18,7 @@
 
 #include "cpu/cache.hpp"
 #include "cpu/isa.hpp"
-#include "ocp/channel.hpp"
+#include "ocp/master_port.hpp"
 #include "sim/kernel.hpp"
 
 namespace tgsim::cpu {
@@ -61,7 +62,7 @@ public:
     /// Starts execution at the given byte address (must be word aligned).
     void reset(u32 entry_addr);
 
-    void eval() override;
+    void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
@@ -90,15 +91,14 @@ private:
     void execute_one();
     void execute(const DecodedInstr& d);
     void mem_progress();
-    void start_burst_read(MemOp kind, u32 line_addr, u16 beats);
-    void start_single(MemOp kind, ocp::Cmd cmd, u32 addr, u32 data);
+    void start(MemOp kind, ocp::Cmd cmd, u32 addr, u16 burst, u32 data = 0);
     void write_reg(u8 idx, u32 value) noexcept {
         if (idx != 0) regs_[idx] = value;
     }
     [[nodiscard]] bool cacheable(u32 addr) const noexcept;
     void advance(u32 extra_stall) noexcept;
 
-    ocp::ChannelRef ch_;
+    ocp::MasterPort port_;
     CpuConfig cfg_;
     DirectCache icache_;
     DirectCache dcache_;
@@ -109,28 +109,10 @@ private:
     State state_ = State::Halted;
     u32 stall_left_ = 0;
 
-    // In-flight OCP request.
-    struct Request {
-        bool active = false;
-        bool accepted = false;
-        ocp::Cmd cmd = ocp::Cmd::Idle;
-        u32 addr = 0;
-        u32 data = 0;
-        u16 burst = 1;
-        u16 beats = 0;
-        std::array<u32, ocp::kMaxBurstLen> buf{};
-    };
-    Request req_;
     MemOp memop_ = MemOp::None;
     u8 pending_rd_ = 0;  ///< destination register of an in-flight load
     u32 pending_addr_ = 0;
-
-    /// Wire-drive cache: the request wires only change on request
-    /// transitions, so eval() skips redundant re-drives (wires persist).
-    enum class DriveState : u8 { Idle, Request, RespWait };
-    DriveState driven_ = DriveState::Idle;
-    u32 req_gen_ = 0;    ///< bumped when a new request is set up
-    u32 driven_gen_ = 0;
+    std::array<u32, ocp::kMaxBurstLen> line_{}; ///< refill beats received
 
     Cycle cycle_ = 0;
     Cycle halt_cycle_ = 0;

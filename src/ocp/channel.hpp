@@ -25,9 +25,6 @@
 
 namespace tgsim::ocp {
 
-/// Maximum burst length supported by the protocol subset (beats).
-inline constexpr u16 kMaxBurstLen = 64;
-
 class ChannelRef;
 
 /// Structure-of-arrays store owning the wire state of every channel in a

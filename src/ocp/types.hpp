@@ -12,6 +12,9 @@
 
 namespace tgsim::ocp {
 
+/// Maximum burst length supported by the protocol subset (beats).
+inline constexpr u16 kMaxBurstLen = 64;
+
 /// Master command (MCmd). Burst commands carry a beat count in MBurstLen.
 enum class Cmd : u8 {
     Idle = 0,

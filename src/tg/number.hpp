@@ -1,4 +1,5 @@
-// Checked number parsing shared by the .trc and .tgp readers.
+// Checked number parsing shared by the TG input readers (.trc, .tgp,
+// .bin), and the burst-count rule they all apply.
 #pragma once
 
 #include <charconv>
@@ -7,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "ocp/types.hpp"
 
 namespace tgsim::tg {
 
@@ -47,6 +50,20 @@ template <typename T>
     msg += "' (expected 0..";
     msg += std::to_string(std::numeric_limits<T>::max());
     msg += ')';
+    throw std::invalid_argument{msg};
+}
+
+/// `n` as a burst beat count, or std::invalid_argument "<where>: burst
+/// count '<n>' out of range 1..<ocp::kMaxBurstLen>". Every TG input reader
+/// applies this one rule, so no reader passes on a burst the cores would
+/// run differently from what the file says.
+[[nodiscard]] inline u16 check_burst(u64 n, const char* where) {
+    if (n >= 1 && n <= ocp::kMaxBurstLen) return static_cast<u16>(n);
+    std::string msg{where};
+    msg += ": burst count '";
+    msg += std::to_string(n);
+    msg += "' out of range 1..";
+    msg += std::to_string(ocp::kMaxBurstLen);
     throw std::invalid_argument{msg};
 }
 

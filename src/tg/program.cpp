@@ -242,11 +242,11 @@ TgProgram program_from_text(const std::string& text) {
         } else if (c.name == "BurstRead") {
             in.op = TgOp::BurstRead;
             in.a = parse_reg(arg(c, 0));
-            in.imm = parse_u32(arg(c, 1));
+            in.imm = check_burst(parse_u32(arg(c, 1)), "tgp");
         } else if (c.name == "BurstWrite") {
             in.op = TgOp::BurstWrite;
             in.a = parse_reg(arg(c, 0));
-            in.imm = parse_u32(arg(c, 1));
+            in.imm = check_burst(parse_u32(arg(c, 1)), "tgp");
             // beats are in the suffix: "{ 0x.., 0x.. }"
             const auto ob = c.suffix.find('{');
             const auto cb = c.suffix.find('}');
@@ -332,11 +332,15 @@ std::vector<u32> assemble(const TgProgram& prog) {
         switch (in.op) {
             case TgOp::Read:
             case TgOp::Write:
-            case TgOp::BurstRead:
             case TgOp::Halt:
                 pos += 1;
                 break;
+            case TgOp::BurstRead: // imm12 would truncate a wider count
+                (void)check_burst(in.imm, "assemble");
+                pos += 1;
+                break;
             case TgOp::BurstWrite:
+                (void)check_burst(in.imm, "assemble");
                 if (in.burst_data.size() != in.imm)
                     throw std::invalid_argument{"assemble: BurstWrite beat mismatch"};
                 pos += 1 + in.imm;
@@ -444,10 +448,10 @@ TgProgram disassemble(const std::vector<u32>& image) {
             case TgOp::Halt:
                 break;
             case TgOp::BurstRead:
-                in.imm = w0.imm12;
+                in.imm = check_burst(w0.imm12, "disassemble");
                 break;
             case TgOp::BurstWrite:
-                in.imm = w0.imm12;
+                in.imm = check_burst(w0.imm12, "disassemble");
                 for (u32 k = 0; k < w0.imm12; ++k)
                     in.burst_data.push_back(image[pos + 1 + k]);
                 break;

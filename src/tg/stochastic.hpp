@@ -5,12 +5,13 @@
 // configurable inter-arrival process. Used by the ablation benches to show
 // quantitatively why distribution-based generators are "unreliable for
 // optimizing NoC features": they reproduce average load but not the
-// reactive, bursty structure of real core traffic.
+// reactive, bursty structure of real core traffic. The port handshake,
+// including its drive cache, is ocp::MasterPort's.
 #pragma once
 
 #include <vector>
 
-#include "ocp/channel.hpp"
+#include "ocp/master_port.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
 
@@ -54,10 +55,10 @@ class StochasticTg final : public sim::Clocked {
 public:
     StochasticTg(ocp::ChannelRef channel, StochasticConfig cfg);
 
-    void eval() override;
+    void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override {
-        if (!wires_clean_) return 0;
+        if (!port_.settled()) return 0;
         if (state_ == State::Halted) return sim::kQuietForever;
         if (state_ == State::Gap) return gap_left_ - 1;
         return 0;
@@ -77,7 +78,7 @@ private:
     [[nodiscard]] u64 draw_gap();
     [[nodiscard]] u32 draw_addr();
 
-    ocp::ChannelRef ch_;
+    ocp::MasterPort port_;
     StochasticConfig cfg_;
     sim::Rng rng_;
     u32 total_weight_ = 0;
@@ -86,18 +87,6 @@ private:
     u64 gap_left_ = 1;
     u32 train_left_ = 0;
 
-    struct Request {
-        bool active = false;
-        bool accepted = false;
-        ocp::Cmd cmd = ocp::Cmd::Idle;
-        u32 addr = 0;
-        u32 data = 0;
-        u16 burst = 1;
-        u16 rbeats = 0;
-        u16 wbeats = 0;
-    };
-    Request req_;
-    bool wires_clean_ = false; ///< wires hold the idle pattern
 
     u64 issued_ = 0;
     Cycle cycle_ = 0;

@@ -17,15 +17,17 @@
 //
 // Every context switch costs `switch_penalty` cycles, modelling the OS
 // overhead the paper calls out. The component participates in kernel
-// quiescence skipping when every thread is asleep or halted.
+// quiescence skipping when every thread is asleep or halted. Threads run
+// on the same interpreter as TgCore (tg/tg_thread.hpp) and share one
+// ocp::MasterPort, which owns the handshake and its drive cache.
 #pragma once
 
 #include <array>
 #include <vector>
 
-#include "ocp/channel.hpp"
+#include "ocp/master_port.hpp"
 #include "sim/kernel.hpp"
-#include "tg/tg_isa.hpp"
+#include "tg/tg_thread.hpp"
 
 namespace tgsim::tg {
 
@@ -51,14 +53,14 @@ struct TgMultiStats {
 class TgMultiCore final : public sim::Clocked {
 public:
     TgMultiCore(ocp::ChannelRef channel, TgMultiConfig cfg)
-        : ch_(channel), cfg_(cfg) {}
+        : port_(channel), cfg_(cfg) {}
 
     /// Adds a thread program (binary image + initial registers). Threads
     /// are scheduled in the order they were added. Returns the thread id.
     std::size_t add_thread(std::vector<u32> image,
                            const std::array<u32, kTgNumRegs>& regs = {});
 
-    void eval() override;
+    void eval() override { port_.drive(); }
     void update() override;
     [[nodiscard]] Cycle quiet_for() const override;
     void advance(Cycle cycles) override;
@@ -76,10 +78,7 @@ public:
 private:
     enum class ThreadState : u8 { Ready, Sleeping, Halted };
 
-    struct Thread {
-        std::vector<u32> image;
-        std::array<u32, kTgNumRegs> regs{};
-        u32 pc = 0;
+    struct Thread : TgThread {
         ThreadState state = ThreadState::Ready;
         Cycle wake_at = 0; ///< SleepWake: absolute wake cycle
         u64 idle_left = 0; ///< in-slice idle countdown (Timeslice policy)
@@ -87,12 +86,15 @@ private:
     };
 
     void exec_current();
-    void mem_progress();
+    /// Idles the current thread: under SleepWake a `wait` of at least
+    /// yield_threshold cycles sleeps it until `wake_at`; otherwise it
+    /// busy-waits `busy` cycles inside its slice.
+    void idle_current(u64 wait, Cycle wake_at, u64 busy);
     /// Picks the next ready thread after `from`; -1 if none.
     [[nodiscard]] int next_ready(int from) const;
     void begin_switch(int to);
 
-    ocp::ChannelRef ch_;
+    ocp::MasterPort port_;
     TgMultiConfig cfg_;
     std::vector<Thread> threads_;
 
@@ -100,21 +102,6 @@ private:
     u32 slice_left_ = 0;
     u32 switch_left_ = 0; ///< remaining context-switch penalty cycles
     int switch_to_ = -1;
-
-    struct Request {
-        bool active = false;
-        bool accepted = false;
-        ocp::Cmd cmd = ocp::Cmd::Idle;
-        u32 addr = 0;
-        u16 burst = 1;
-        u16 wbeats_done = 0;
-        u32 wdata_base = 0;
-        u16 rbeats = 0;
-        u32 last_data = 0;
-    };
-    Request req_;
-    u32 single_wdata_ = 0;
-    bool wires_clean_ = false;
 
     Cycle cycle_ = 0;
     Cycle halt_cycle_ = 0;

@@ -76,13 +76,16 @@ Trace trace_from_text(const std::string& text) {
                 const std::string key = field.substr(0, eq);
                 const std::string val = field.substr(eq + 1);
                 if (key == "burst") {
-                    ev.burst = parse_number<u16>(val, "trc");
+                    ev.burst = check_burst(parse_number<u16>(val, "trc"), "trc");
                 } else if (key == "assert") {
                     ev.t_assert = parse_number<Cycle>(val, "trc");
                 } else if (key == "accept") {
                     ev.t_accept = parse_number<Cycle>(val, "trc");
                 } else if (key == "resp") {
                     const auto colon = val.find(':');
+                    if (colon == std::string::npos)
+                        throw std::invalid_argument{
+                            "trc: bad resp '" + val + "' (expected first:last)"};
                     ev.t_resp_first =
                         parse_number<Cycle>(val.substr(0, colon), "trc");
                     ev.t_resp_last =

@@ -130,13 +130,13 @@ TEST(ParserMutation, MissingCallArgumentIsInvalidArgument) {
                  std::invalid_argument);
 }
 
-/// `text` must be rejected with std::invalid_argument naming `token`.
-template <typename Parse>
-void expect_bad_number(Parse&& parse, const std::string& text,
+/// `input` must be rejected with std::invalid_argument naming `token`.
+template <typename Parse, typename Input>
+void expect_bad_number(Parse&& parse, const Input& input,
                        const std::string& token) {
-    SCOPED_TRACE(text);
+    SCOPED_TRACE(::testing::PrintToString(input));
     try {
-        (void)parse(text);
+        (void)parse(input);
         ADD_FAILURE() << "accepted";
     } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string{e.what()}.find("'" + token + "'"),
@@ -184,6 +184,20 @@ TEST(ParserNumbers, TraceRejectsBadNumbers) {
         trace_with("EVT WR 0x10 burst=1 assert=1 accept=2 resp=3:3 "
                    "data=[0x100000000]"),
         "0x100000000");
+    // An empty burst: used to translate into BurstRead(r1, 0).
+    expect_bad_number(
+        parse,
+        trace_with("EVT BRD 0x10 burst=0 assert=1 accept=2 resp=3:3 data=[]"),
+        "0");
+    expect_bad_number(
+        parse,
+        trace_with("EVT BRD 0x10 burst=65 assert=1 accept=2 resp=3:3 data=[]"),
+        "65");
+    // A resp without its :last half: used to set both halves to 3.
+    expect_bad_number(
+        parse,
+        trace_with("EVT BRD 0x10 burst=1 assert=1 accept=2 resp=3 data=[0x1]"),
+        "3");
     // CORE and END numbers: used to read as 0 and 1 through operator>>.
     expect_bad_number(parse, "CORE zz THREAD 0\nEND 10\n", "zz");
     expect_bad_number(parse, "CORE 0 THREAD 0\nEND 1x\n", "1x");
@@ -208,9 +222,36 @@ TEST(ParserNumbers, ProgramRejectsBadNumbers) {
     // A register index past int used to escape as std::out_of_range.
     expect_bad_number(parse, prog("Read(r99999999999)"), "r99999999999");
     expect_bad_number(parse, "MASTER[0,1x]\nBEGIN\n  Halt\nEND\n", "1x");
+    // Past the 12-bit count field: used to assemble as BurstRead(r1, 904).
+    expect_bad_number(parse, prog("BurstRead(r1, 5000)"), "5000");
+    expect_bad_number(parse, prog("BurstRead(r1, 65)"), "65");
+    // No beats: the core used to drive the next instruction word as data.
+    expect_bad_number(parse, prog("BurstWrite(r1, 0) {}"), "0");
     const tg::TgProgram ok = tg::program_from_text(prog("Idle(0x10)"));
     ASSERT_EQ(ok.instrs.size(), 2u);
     EXPECT_EQ(ok.instrs[0].imm, 0x10u);
+}
+
+TEST(ParserNumbers, ImageRejectsBadBurstCounts) {
+    const auto parse = [](const std::vector<u32>& image) {
+        return tg::disassemble(image);
+    };
+    const u32 halt = tg::encode_w0(tg::TgOp::Halt);
+    const auto word0 = [](tg::TgOp op, u32 count) {
+        return tg::encode_w0(op, 1, 0, tg::TgCmp::Eq, count);
+    };
+    using Image = std::vector<u32>;
+    expect_bad_number(parse, Image{word0(tg::TgOp::BurstRead, 0), halt}, "0");
+    expect_bad_number(parse, Image{word0(tg::TgOp::BurstWrite, 0), halt}, "0");
+    Image wide{word0(tg::TgOp::BurstWrite, 65)};
+    wide.resize(66, 0x5u);
+    wide.push_back(halt);
+    expect_bad_number(parse, wide, "65");
+    // A count in range still disassembles.
+    const tg::TgProgram ok =
+        tg::disassemble(Image{word0(tg::TgOp::BurstRead, 64), halt});
+    ASSERT_EQ(ok.instrs.size(), 2u);
+    EXPECT_EQ(ok.instrs[0].imm, 64u);
 }
 
 } // namespace
