@@ -161,11 +161,6 @@ std::vector<Candidate> make_grid(const GridSpec& spec) {
 }
 
 std::vector<Candidate> make_rate_sweep(const platform::PlatformConfig& base,
-                                       const std::vector<double>& rates) {
-    return make_rate_sweep(base, rates, tg::SourceConfig{});
-}
-
-std::vector<Candidate> make_rate_sweep(const platform::PlatformConfig& base,
                                        const std::vector<double>& rates,
                                        const tg::SourceConfig& source) {
     std::vector<Candidate> out;
@@ -498,6 +493,36 @@ private:
     std::thread thread_;
 };
 
+/// The sweep's one worker pool. Dynamic work-stealing over an atomic
+/// cursor: candidates vary wildly in cost (a livelocked fabric runs to the
+/// full cycle budget), so a static partition would leave workers idle.
+/// The cursor walks `subset` (every index below `n_candidates` when null);
+/// each worker builds one `Scratch` and calls `item(scratch, i)` for every
+/// candidate index i it claims. One worker runs inline: no thread,
+/// debugger- and TSan-baseline-friendly.
+template <typename Scratch, typename Item>
+void run_pool(u32 jobs, std::size_t n_candidates,
+              const std::vector<u32>* subset, const Item& item) {
+    const std::size_t n_work = subset != nullptr ? subset->size() : n_candidates;
+    if (n_work == 0) return;
+    std::atomic<u32> next{0};
+    const auto work = [&] {
+        Scratch scratch;
+        for (u32 w;
+             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;)
+            item(scratch, subset != nullptr ? (*subset)[w] : w);
+    };
+    jobs = resolve_jobs(jobs, n_work);
+    if (jobs == 1) {
+        work();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
+    for (std::thread& t : pool) t.join();
+}
+
 } // namespace
 
 std::vector<SweepResult> SweepDriver::run_cycle(
@@ -505,49 +530,29 @@ std::vector<SweepResult> SweepDriver::run_cycle(
     const std::vector<u32>* subset, std::vector<SweepResult> seed) const {
     std::vector<SweepResult> results = std::move(seed);
     results.resize(candidates.size());
-    if (candidates.empty()) return results;
-
     const std::size_t n_work =
         subset != nullptr ? subset->size() : candidates.size();
     if (n_work == 0) return results;
-    const u32 jobs = resolve_jobs(opts.jobs, n_work);
 
-    // Dynamic work-stealing over an atomic cursor: candidates vary wildly
-    // in cost (a livelocked fabric runs to the full cycle budget), so a
-    // static partition would leave workers idle. Each result lands in its
-    // candidate's slot — aggregation order never depends on scheduling.
-    // With a funnel subset, the cursor walks the survivor list but every
-    // candidate keeps its ORIGINAL index (derive_seed input), so survivor
-    // results are bit-identical to an all-cycle run of the same grid.
-    std::atomic<u32> next{0};
+    // Each result lands in its candidate's slot — aggregation order never
+    // depends on scheduling. A funnel subset keeps every candidate's
+    // ORIGINAL index (derive_seed input), so survivor results are
+    // bit-identical to an all-cycle run of the same grid.
     std::atomic<u32> done{0};
-    const auto work = [&] {
-        EvalScratch scratch;
-        for (u32 w;
-             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;) {
-            const u32 i = subset != nullptr ? (*subset)[w] : w;
-            results[i] = evaluate(candidates[i], i, opts, scratch);
-            // Checkpoint the row the moment it exists: a preempted
-            // campaign resumes from here, re-evaluating only what the
-            // journal never saw.
-            if (opts.journal != nullptr) opts.journal->append(results[i]);
-            done.fetch_add(1, std::memory_order_release);
-        }
-    };
-
     // Declared after `done` so it joins (and stops reading the counter)
     // before the counter is destroyed.
     std::optional<ProgressReporter> progress;
     if (opts.progress) progress.emplace(done, n_work);
 
-    if (jobs == 1) {
-        work(); // inline: no thread, debugger- and TSan-baseline-friendly
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
+    run_pool<EvalScratch>(
+        opts.jobs, candidates.size(), subset, [&](EvalScratch& scratch, u32 i) {
+            results[i] = evaluate(candidates[i], i, opts, scratch);
+            // Checkpoint the row the moment it exists: a preempted campaign
+            // resumes from here, re-evaluating only what the journal never
+            // saw.
+            if (opts.journal != nullptr) opts.journal->append(results[i]);
+            done.fetch_add(1, std::memory_order_release);
+        });
     return results;
 }
 
@@ -556,31 +561,14 @@ std::vector<SweepResult> SweepDriver::run_analytic(
     const std::vector<u32>* subset) const {
     std::vector<SweepResult> results(candidates.size());
     if (candidates.empty()) return results;
-    const std::size_t n_work =
-        subset != nullptr ? subset->size() : candidates.size();
-    if (n_work == 0) return results;
-
     // One immutable evaluator shared by all workers; each worker owns a
     // Workspace so steady-state screening never allocates or contends.
     const analytic::Evaluator eval{*pattern_};
-    const u32 jobs = resolve_jobs(opts.jobs, n_work);
-    std::atomic<u32> next{0};
-    const auto work = [&] {
-        analytic::Workspace ws;
-        for (u32 w;
-             (w = next.fetch_add(1, std::memory_order_relaxed)) < n_work;) {
-            const u32 i = subset != nullptr ? (*subset)[w] : w;
+    run_pool<analytic::Workspace>(
+        opts.jobs, candidates.size(), subset,
+        [&](analytic::Workspace& ws, u32 i) {
             results[i] = eval.evaluate(candidates[i], i, ws);
-        }
-    };
-    if (jobs == 1) {
-        work();
-        return results;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (u32 t = 0; t < jobs; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
+        });
     return results;
 }
 

@@ -279,17 +279,12 @@ struct GridSpec {
 /// One candidate per offered injection rate over a fixed fabric — the
 /// load–latency curve grid. Latency collection is switched on in each
 /// candidate's ×pipes config; rates should be passed in ascending order
-/// (find_saturation() reads the results positionally).
-[[nodiscard]] std::vector<Candidate> make_rate_sweep(
-    const platform::PlatformConfig& base, const std::vector<double>& rates);
-
-/// Same ladder under an explicit source mode: each candidate carries
-/// `source` with its rate set to the ladder point (so open-loop ladders
-/// offer the rate regardless of completion). With a closed default source
-/// this is exactly the two-argument form.
+/// (find_saturation() reads the results positionally). Each candidate
+/// carries `source` with its rate set to the ladder point, so open-loop
+/// ladders offer the rate regardless of completion.
 [[nodiscard]] std::vector<Candidate> make_rate_sweep(
     const platform::PlatformConfig& base, const std::vector<double>& rates,
-    const tg::SourceConfig& source);
+    const tg::SourceConfig& source = {});
 
 /// Saturation analysis over rate-ordered results (docs/traffic.md).
 ///
