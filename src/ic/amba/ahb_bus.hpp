@@ -6,7 +6,7 @@
 // (lowest-index wins). This is the reference interconnect of the paper's
 // Table 2 experiments.
 //
-// Deliberate simplifications versus real AHB (documented in DESIGN.md):
+// Deliberate simplifications versus real AHB:
 // address/data phases of different masters are not overlapped, and burst
 // writes insert one wait state per beat. Both runs of an experiment (IP-core
 // and TG) see the identical timing model, which is what the methodology

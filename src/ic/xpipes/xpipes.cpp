@@ -3,11 +3,9 @@
 #include <bit>
 #include <stdexcept>
 
-namespace tgsim::ic {
+#include "ocp/master_port.hpp"
 
-namespace {
-constexpr u32 kPoison = 0xDEADBEEFu;
-} // namespace
+namespace tgsim::ic {
 
 XpipesNetwork::XpipesNetwork(XpipesConfig cfg)
     : cfg_(cfg), fault_model_(cfg_.fault) {
@@ -300,7 +298,7 @@ void XpipesNetwork::accept(MasterNi& ni) {
     } else if (!open_) {
         // A closed-loop master waits for its read: answer with Err beats.
         // Open-loop masters never wait for read data.
-        ni.rx.assign(ni.burst, RxBeat{kPoison, true});
+        ni.rx.assign(ni.burst, RxBeat{ocp::kPoison, true});
         ni.st = MasterNi::St::AwaitResp;
     }
 }
@@ -385,7 +383,7 @@ void XpipesNetwork::retry_or_give_up(MasterNi& ni) {
             // Reads block the master: synthesize Resp::Err beats so the
             // transaction terminates visibly instead of hanging.
             ni.synth_err = true;
-            ni.rx.assign(ni.burst, RxBeat{kPoison, true});
+            ni.rx.assign(ni.burst, RxBeat{ocp::kPoison, true});
         }
         return;
     }
@@ -496,7 +494,7 @@ void XpipesNetwork::eval_slave_ni(SlaveNi& ni) {
             // laundering it into ordinary data.
             Flit beat = make_flit(Flit::Kind::Payload, 0);
             beat.err = (ch.s_resp() == ocp::Resp::Err);
-            beat.payload = beat.err ? kPoison : ch.s_data();
+            beat.payload = beat.err ? ocp::kPoison : ch.s_data();
             if (beat.err) ni.resp_err = true;
             emit(ni.tx, ni.resp_csum, beat);
             if (++ni.beats_resp == ni.hdr.burst) {

@@ -1,5 +1,7 @@
 #include "tg/program.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -7,34 +9,31 @@
 
 #include "tg/number.hpp"
 
+// Print, parse, encode and decode are each one routine generic over the
+// kTgOps format table (tg/tg_isa.hpp): none switches on the opcode.
+
 namespace tgsim::tg {
 
 namespace {
 
-std::string hex32(u32 v) {
+/// One number through a printf format ("0x%08X", "r%u", "L%u").
+std::string fmt(const char* format, u32 v) {
     char buf[16];
-    std::snprintf(buf, sizeof buf, "0x%08X", v);
+    std::snprintf(buf, sizeof buf, format, v);
     return buf;
 }
 
-// These build left-to-right (not operator+(const char*, string&&)): GCC
-// 12's -Wrestrict false-positives on the rvalue insert path under -O2.
-std::string reg_name(u8 r) {
-    std::string s{"r"};
-    s += std::to_string(r);
-    return s;
-}
-
-std::string numbered_label(u32 index) {
-    std::string s{"L"};
-    s += std::to_string(index);
-    return s;
-}
-
+/// A branch target's label: its name in `prog`, else L<index>.
 std::string label_for(const TgProgram& prog, u32 index) {
     const auto it = prog.labels.find(index);
-    if (it != prog.labels.end()) return it->second;
-    return numbered_label(index);
+    return it != prog.labels.end() ? it->second : fmt("L%u", index);
+}
+
+/// The format row of `op`; an undefined opcode is std::invalid_argument.
+const TgOpFormat& row(TgOp op, const char* where) {
+    if (const TgOpFormat* f = format_of(op)) return *f;
+    throw std::invalid_argument{std::string{where} + ": undefined opcode " +
+                                fmt("0x%02X", u32(op))};
 }
 
 /// Trims whitespace and strips ';' comments.
@@ -44,6 +43,21 @@ std::string clean(const std::string& raw) {
     if (first == std::string::npos) return {};
     const auto last = s.find_last_not_of(" \t\r\n");
     return s.substr(first, last - first + 1);
+}
+
+/// Splits `s` at `sep` (a whitespace run when `sep` is ' '), trimming each
+/// piece; a blank `s` has no pieces.
+std::vector<std::string> split(const std::string& s, char sep) {
+    std::vector<std::string> out;
+    std::istringstream is{s};
+    std::string piece;
+    if (sep == ' ') {
+        while (is >> piece) out.push_back(piece);
+    } else if (!clean(s).empty()) {
+        while (std::getline(is, piece, sep)) out.push_back(clean(piece));
+        if (s.back() == sep) out.emplace_back();
+    }
+    return out;
 }
 
 u8 parse_reg(const std::string& tok) {
@@ -58,58 +72,149 @@ u8 parse_reg(const std::string& tok) {
 u32 parse_u32(const std::string& tok) { return parse_number<u32>(tok, "tgp", 0); }
 
 TgCmp parse_cmp(const std::string& tok) {
-    if (tok == "==") return TgCmp::Eq;
-    if (tok == "!=") return TgCmp::Ne;
-    if (tok == "<u") return TgCmp::Ltu;
-    if (tok == ">=u") return TgCmp::Geu;
-    if (tok == "<s") return TgCmp::Lts;
-    if (tok == ">=s") return TgCmp::Ges;
+    for (const auto& [token, cmp] : kTgCmpTokens)
+        if (tok == token) return cmp;
     throw std::invalid_argument{"tgp: bad comparison '" + tok + "'"};
 }
 
-/// Splits "Op(arg, arg, ...)" into op name and raw args.
-struct Call {
-    std::string name;
-    std::vector<std::string> args;
-    std::string suffix; ///< anything after the closing paren
-};
-
-Call parse_call(const std::string& line) {
-    Call c;
-    const auto open = line.find('(');
-    if (open == std::string::npos) {
-        c.name = line;
-        return c;
-    }
-    c.name = clean(line.substr(0, open));
-    const auto close = line.find(')', open);
-    if (close == std::string::npos)
-        throw std::invalid_argument{"tgp: missing ')': " + line};
-    std::string inner = line.substr(open + 1, close - open - 1);
-    c.suffix = clean(line.substr(close + 1));
-    std::string cur;
-    int depth = 0;
-    for (const char ch : inner) {
-        if (ch == ',' && depth == 0) {
-            c.args.push_back(clean(cur));
-            cur.clear();
-        } else {
-            if (ch == '{') ++depth;
-            if (ch == '}') --depth;
-            cur += ch;
-        }
-    }
-    if (!clean(cur).empty()) c.args.push_back(clean(cur));
-    return c;
+/// A label is letters, digits, '_' and '.', so it prints back unchanged
+/// in any operand position.
+const std::string& check_label(const std::string& name) {
+    const auto ok = [](unsigned char c) { return std::isalnum(c) || c == '_' || c == '.'; };
+    if (name.empty() || !std::all_of(name.begin(), name.end(), ok))
+        throw std::invalid_argument{"tgp: bad label '" + name + "'"};
+    return name;
 }
 
-/// The call's i-th argument; a missing one is malformed input, not an
-/// out-of-range access.
-const std::string& arg(const Call& c, std::size_t i) {
-    if (i >= c.args.size())
-        throw std::invalid_argument{"tgp: " + c.name + " is missing argument " +
-                                    std::to_string(i + 1)};
-    return c.args[i];
+/// One instruction in .tgp syntax: Name(args) [then label] [{beats}].
+std::string print(const TgInstr& in, const std::map<u32, std::string>& labels) {
+    const TgOpFormat& f = row(in.op, "to_text");
+    std::vector<std::string> args;
+    if (f.has(kRegA)) args.push_back(fmt("r%u", in.a));
+    if (f.has(kRegB)) args.push_back(fmt("r%u", in.b));
+    if (f.has(kCount) || f.has(kImm))
+        args.push_back(fmt(f.has(kHex) ? "0x%08X" : "%u", in.imm));
+    if (f.has(kTarget)) args.push_back(labels.at(in.target));
+    std::string s{f.name};
+    std::string then;
+    if (f.has(kCmp)) { // "(a CMP rhs) then label"
+        (then = " then ") += args.back();
+        args = {args[0] + ' ' + std::string{to_string(in.cmp)} + ' ' + args[1]};
+    }
+    for (std::size_t k = 0; k < args.size(); ++k) (s += k == 0 ? "(" : ", ") += args[k];
+    if (!args.empty()) s += ')';
+    s += then;
+    if (!f.has(kBeats)) return s;
+    s += " {";
+    for (std::size_t k = 0; k < in.burst_data.size(); ++k)
+        (s += k == 0 ? "" : ", ") += fmt("0x%08X", in.burst_data[k]);
+    return s += '}';
+}
+
+/// Parses one instruction line against its op's row; a branch label goes
+/// to `label`, resolved once the whole body is read.
+TgInstr parse_instr(const std::string& line, std::string& label) {
+    // "Name(args) suffix"; a line without '(' is a bare name.
+    const auto open = std::min(line.find('('), line.size());
+    const std::string name = clean(line.substr(0, open));
+    const auto* f = std::find_if(kTgOps.begin(), kTgOps.end(),
+                                 [&](const TgOpFormat& r) { return r.name == name; });
+    if (f == kTgOps.end())
+        throw std::invalid_argument{"tgp: unknown instruction '" + name + "'"};
+    std::vector<std::string> args;
+    std::string suffix;
+    if (open < line.size()) {
+        const auto close = line.find(')', open);
+        if (close == std::string::npos)
+            throw std::invalid_argument{"tgp: missing ')': " + line};
+        args = split(line.substr(open + 1, close - open - 1), ',');
+        suffix = clean(line.substr(close + 1));
+    }
+    TgInstr in;
+    in.op = f->op;
+    const std::string what = "tgp: " + name;
+    if (f->has(kCmp)) { // "(a CMP rhs) then label"
+        const auto cond = split(args.empty() ? "" : args[0], ' ');
+        const auto then = split(suffix, ' ');
+        if (args.size() != 1 || cond.size() != 3 || then.size() != 2 || then[0] != "then")
+            throw std::invalid_argument{what + " wants '(a CMP rhs) then <label>'"};
+        in.cmp = parse_cmp(cond[1]);
+        args = {cond[0], cond[2]};
+        label = check_label(then[1]);
+        suffix.clear();
+    }
+    const bool target_arg = f->has(kTarget) && !f->has(kCmp);
+    const std::size_t n =
+        f->has(kRegA) + f->has(kRegB) + f->has(kCount) + f->has(kImm) + target_arg;
+    if (args.size() != n)
+        throw std::invalid_argument{what + ": " + std::to_string(args.size()) +
+                                    " arguments, want " + std::to_string(n)};
+    std::size_t k = 0;
+    if (f->has(kRegA)) in.a = parse_reg(args[k++]);
+    if (f->has(kRegB)) in.b = parse_reg(args[k++]);
+    if (f->has(kCount)) in.imm = check_burst(parse_u32(args[k++]), "tgp");
+    if (f->has(kImm)) in.imm = parse_u32(args[k++]);
+    if (target_arg) label = check_label(args[k]);
+    if (f->has(kBeats) && suffix.size() > 1 && suffix.front() == '{' && suffix.back() == '}') {
+        for (const std::string& t : split(suffix.substr(1, suffix.size() - 2), ','))
+            in.burst_data.push_back(parse_u32(t));
+        suffix.clear();
+    }
+    if (!suffix.empty())
+        throw std::invalid_argument{what + ": unexpected '" + suffix + "'"};
+    if (in.burst_data.size() != (f->has(kBeats) ? in.imm : 0))
+        throw std::invalid_argument{what + " wants " + std::to_string(in.imm) + " beats {..}"};
+    return in;
+}
+
+/// Word 0 of an instruction of row `f`, the fields `f` does not carry zero.
+u32 word0(const TgOpFormat& f, const TgWord0& w) {
+    return encode_w0(f.op, f.has(kRegA) ? w.a : 0, f.has(kRegB) ? w.b : 0,
+                     f.has(kCmp) ? w.cmp : TgCmp::Eq, f.has(kCount) ? w.imm12 : 0);
+}
+
+/// Decodes all of `image` against the format table, handing each
+/// instruction to `visit` with its branch target still a word address.
+/// Rejects, with std::invalid_argument, every image the assembler cannot
+/// produce. Returns each word's instruction index (~0u: an operand word).
+template <typename Visit>
+std::vector<u32> decode_image(const std::vector<u32>& image, const char* where,
+                              Visit&& visit) {
+    std::vector<u32> index_of(image.size(), ~0u);
+    std::vector<u32> targets;
+    for (u32 pos = 0, n = 0; pos < image.size(); ++n) {
+        const auto fail = [&](const std::string& what) {
+            throw std::invalid_argument{std::string{where} + ": word " +
+                                        std::to_string(pos) + ": " + what};
+        };
+        const TgWord0 d = decode_w0(image[pos]);
+        const TgOpFormat* f = format_of(d.op);
+        if (!f) fail("undefined opcode " + fmt("0x%02X", u32(d.op)));
+        if (word0(*f, d) != image[pos])
+            fail(std::string{f->name} + " sets an operand field it does not use");
+        if (f->has(kCmp) && to_string(d.cmp) == "?")
+            fail("undefined comparison " + std::to_string(u32(d.cmp)));
+        TgInstr in;
+        in.op = d.op;
+        in.a = d.a;
+        in.b = d.b;
+        in.cmp = d.cmp;
+        if (f->has(kCount)) in.imm = check_burst(d.imm12, where);
+        const u32 words = encoded_words(d);
+        if (words > image.size() - pos) fail("truncated " + std::string{f->name});
+        const u32* operand = image.data() + pos + 1;
+        if (f->has(kImm)) in.imm = *operand++;
+        if (f->has(kTarget)) targets.push_back(in.target = *operand++);
+        if (f->has(kBeats)) in.burst_data.assign(operand, operand + d.imm12);
+        index_of[pos] = n;
+        pos += words;
+        visit(std::move(in));
+    }
+    for (const u32 t : targets)
+        if (t >= image.size() || index_of[t] == ~0u)
+            throw std::invalid_argument{std::string{where} + ": branch to word " +
+                                        std::to_string(t) + ", not an instruction start"};
+    return index_of;
 }
 
 } // namespace
@@ -119,63 +224,17 @@ std::string to_text(const TgProgram& prog) {
     os << "; tgsim TG program\n";
     os << "MASTER[" << prog.core_id << "," << prog.thread_id << "]\n";
     for (const auto& [reg, value] : prog.reg_init)
-        os << "REGISTER " << reg_name(reg) << ' ' << hex32(value) << '\n';
+        os << "REGISTER " << fmt("r%u", reg) << ' ' << fmt("0x%08X", value) << '\n';
     os << "BEGIN\n";
     // Collect all referenced targets so every one gets a label line.
     std::map<u32, std::string> labels;
-    for (const TgInstr& in : prog.instrs) {
-        if (in.op == TgOp::If || in.op == TgOp::IfImm || in.op == TgOp::Jump)
+    for (const TgInstr& in : prog.instrs)
+        if (row(in.op, "to_text").has(kTarget))
             labels[in.target] = label_for(prog, in.target);
-    }
     for (u32 i = 0; i < prog.instrs.size(); ++i) {
         const auto lit = labels.find(i);
         if (lit != labels.end()) os << lit->second << ":\n";
-        const TgInstr& in = prog.instrs[i];
-        os << "  ";
-        switch (in.op) {
-            case TgOp::Read:
-                os << "Read(" << reg_name(in.a) << ")";
-                break;
-            case TgOp::Write:
-                os << "Write(" << reg_name(in.a) << ", " << reg_name(in.b) << ")";
-                break;
-            case TgOp::BurstRead:
-                os << "BurstRead(" << reg_name(in.a) << ", " << in.imm << ")";
-                break;
-            case TgOp::BurstWrite: {
-                os << "BurstWrite(" << reg_name(in.a) << ", " << in.imm << ") {";
-                for (std::size_t k = 0; k < in.burst_data.size(); ++k) {
-                    if (k != 0) os << ", ";
-                    os << hex32(in.burst_data[k]);
-                }
-                os << "}";
-                break;
-            }
-            case TgOp::If:
-                os << "If(" << reg_name(in.a) << ' ' << to_string(in.cmp) << ' '
-                   << reg_name(in.b) << ") then " << labels.at(in.target);
-                break;
-            case TgOp::IfImm:
-                os << "IfImm(" << reg_name(in.a) << ' ' << to_string(in.cmp)
-                   << ' ' << hex32(in.imm) << ") then " << labels.at(in.target);
-                break;
-            case TgOp::Jump:
-                os << "Jump(" << labels.at(in.target) << ")";
-                break;
-            case TgOp::SetRegister:
-                os << "SetRegister(" << reg_name(in.a) << ", " << hex32(in.imm) << ")";
-                break;
-            case TgOp::Idle:
-                os << "Idle(" << in.imm << ")";
-                break;
-            case TgOp::IdleUntil:
-                os << "IdleUntil(" << in.imm << ")";
-                break;
-            case TgOp::Halt:
-                os << "Halt";
-                break;
-        }
-        os << '\n';
+        os << "  " << print(prog.instrs[i], labels) << '\n';
     }
     os << "END\n";
     return os.str();
@@ -188,31 +247,23 @@ TgProgram program_from_text(const std::string& text) {
     bool in_body = false;
     bool ended = false;
     std::unordered_map<std::string, u32> bound_labels;
-    struct Ref {
-        std::size_t instr = 0;
-        std::string label;
-    };
-    std::vector<Ref> refs;
+    std::vector<std::string> refs; // per instruction; empty: no branch
 
     while (std::getline(is, raw)) {
         const std::string line = clean(raw);
         if (line.empty()) continue;
         if (!in_body) {
             if (line.rfind("MASTER[", 0) == 0) {
-                const auto close = line.find(']');
-                if (close == std::string::npos)
-                    throw std::invalid_argument{"tgp: bad MASTER line"};
-                const std::string inner = line.substr(7, close - 7);
-                const auto comma = inner.find(',');
-                if (comma == std::string::npos)
-                    throw std::invalid_argument{"tgp: bad MASTER line"};
-                prog.core_id = parse_u32(inner.substr(0, comma));
-                prog.thread_id = parse_u32(inner.substr(comma + 1));
+                const auto ids = split(line.substr(7, line.size() - 8), ',');
+                if (line.back() != ']' || ids.size() != 2)
+                    throw std::invalid_argument{"tgp: bad MASTER line '" + line + "'"};
+                prog.core_id = parse_u32(ids[0]);
+                prog.thread_id = parse_u32(ids[1]);
             } else if (line.rfind("REGISTER", 0) == 0) {
-                std::istringstream ls{line};
-                std::string kw, reg, val;
-                ls >> kw >> reg >> val;
-                prog.reg_init[parse_reg(reg)] = parse_u32(val);
+                const auto w = split(line, ' ');
+                if (w.size() != 3 || w[0] != "REGISTER")
+                    throw std::invalid_argument{"tgp: bad REGISTER line '" + line + "'"};
+                prog.reg_init[parse_reg(w[1])] = parse_u32(w[2]);
             } else if (line == "BEGIN") {
                 in_body = true;
             } else {
@@ -225,100 +276,29 @@ TgProgram program_from_text(const std::string& text) {
             break;
         }
         if (line.back() == ':') {
-            const std::string name = clean(line.substr(0, line.size() - 1));
+            const std::string name = check_label(clean(line.substr(0, line.size() - 1)));
             if (!bound_labels.emplace(name, static_cast<u32>(prog.instrs.size())).second)
                 throw std::invalid_argument{"tgp: duplicate label " + name};
             continue;
         }
-        const Call c = parse_call(line);
-        TgInstr in;
-        if (c.name == "Read") {
-            in.op = TgOp::Read;
-            in.a = parse_reg(arg(c, 0));
-        } else if (c.name == "Write") {
-            in.op = TgOp::Write;
-            in.a = parse_reg(arg(c, 0));
-            in.b = parse_reg(arg(c, 1));
-        } else if (c.name == "BurstRead") {
-            in.op = TgOp::BurstRead;
-            in.a = parse_reg(arg(c, 0));
-            in.imm = check_burst(parse_u32(arg(c, 1)), "tgp");
-        } else if (c.name == "BurstWrite") {
-            in.op = TgOp::BurstWrite;
-            in.a = parse_reg(arg(c, 0));
-            in.imm = check_burst(parse_u32(arg(c, 1)), "tgp");
-            // beats are in the suffix: "{ 0x.., 0x.. }"
-            const auto ob = c.suffix.find('{');
-            const auto cb = c.suffix.find('}');
-            if (ob == std::string::npos || cb == std::string::npos)
-                throw std::invalid_argument{"tgp: BurstWrite missing beats"};
-            std::string beats = c.suffix.substr(ob + 1, cb - ob - 1);
-            std::istringstream bs{beats};
-            std::string tok;
-            while (std::getline(bs, tok, ',')) {
-                const std::string t = clean(tok);
-                if (!t.empty()) in.burst_data.push_back(parse_u32(t));
-            }
-            if (in.burst_data.size() != in.imm)
-                throw std::invalid_argument{"tgp: BurstWrite beat count mismatch"};
-        } else if (c.name == "If" || c.name == "IfImm") {
-            // args[0] = "rX <cmp> rhs" ; suffix = "then <label>"
-            std::istringstream as{arg(c, 0)};
-            std::string lhs, cmp, rhs;
-            as >> lhs >> cmp >> rhs;
-            in.op = (c.name == "If") ? TgOp::If : TgOp::IfImm;
-            in.a = parse_reg(lhs);
-            in.cmp = parse_cmp(cmp);
-            if (in.op == TgOp::If)
-                in.b = parse_reg(rhs);
-            else
-                in.imm = parse_u32(rhs);
-            std::istringstream ss{c.suffix};
-            std::string then, label;
-            ss >> then >> label;
-            if (then != "then" || label.empty())
-                throw std::invalid_argument{"tgp: If missing 'then <label>'"};
-            refs.push_back(Ref{prog.instrs.size(), label});
-        } else if (c.name == "Jump") {
-            in.op = TgOp::Jump;
-            refs.push_back(Ref{prog.instrs.size(), arg(c, 0)});
-        } else if (c.name == "SetRegister") {
-            in.op = TgOp::SetRegister;
-            in.a = parse_reg(arg(c, 0));
-            in.imm = parse_u32(arg(c, 1));
-        } else if (c.name == "Idle") {
-            in.op = TgOp::Idle;
-            in.imm = parse_u32(arg(c, 0));
-        } else if (c.name == "IdleUntil") {
-            in.op = TgOp::IdleUntil;
-            in.imm = parse_u32(arg(c, 0));
-        } else if (c.name == "Halt") {
-            in.op = TgOp::Halt;
-        } else {
-            throw std::invalid_argument{"tgp: unknown instruction '" + c.name + "'"};
-        }
-        prog.instrs.push_back(std::move(in));
+        prog.instrs.push_back(parse_instr(line, refs.emplace_back()));
     }
     if (!ended) throw std::invalid_argument{"tgp: missing END"};
-    for (const Ref& r : refs) {
-        const auto it = bound_labels.find(r.label);
-        if (it == bound_labels.end())
-            throw std::invalid_argument{"tgp: undefined label " + r.label};
-        prog.instrs[r.instr].target = it->second;
-        prog.labels[it->second] = r.label;
+    for (std::size_t i = 0; i < refs.size(); ++i) {
+        if (refs[i].empty()) continue;
+        const auto it = bound_labels.find(refs[i]);
+        if (it == bound_labels.end() || it->second >= prog.instrs.size())
+            throw std::invalid_argument{"tgp: label " + refs[i] + " names no instruction"};
+        prog.instrs[i].target = it->second;
+        prog.labels[it->second] = refs[i];
     }
     return prog;
 }
 
 std::size_t encoded_word_count(const TgProgram& prog) {
     std::size_t words = 0;
-    for (const TgInstr& in : prog.instrs) {
-        TgWord0 w0{in.op, in.a, in.b, in.cmp,
-                   (in.op == TgOp::BurstWrite || in.op == TgOp::BurstRead)
-                       ? in.imm
-                       : 0};
-        words += encoded_words(w0);
-    }
+    for (const TgInstr& in : prog.instrs)
+        words += encoded_words({in.op, 0, 0, TgCmp::Eq, in.imm});
     return words;
 }
 
@@ -328,84 +308,28 @@ std::vector<u32> assemble(const TgProgram& prog) {
     offsets.reserve(prog.instrs.size());
     u32 pos = 0;
     for (const TgInstr& in : prog.instrs) {
+        const TgOpFormat& f = row(in.op, "assemble");
+        if (f.has(kCount)) (void)check_burst(in.imm, "assemble"); // imm12 would truncate
+        if (f.has(kBeats) && in.burst_data.size() != in.imm)
+            throw std::invalid_argument{"assemble: BurstWrite beat mismatch"};
         offsets.push_back(pos);
-        switch (in.op) {
-            case TgOp::Read:
-            case TgOp::Write:
-            case TgOp::Halt:
-                pos += 1;
-                break;
-            case TgOp::BurstRead: // imm12 would truncate a wider count
-                (void)check_burst(in.imm, "assemble");
-                pos += 1;
-                break;
-            case TgOp::BurstWrite:
-                (void)check_burst(in.imm, "assemble");
-                if (in.burst_data.size() != in.imm)
-                    throw std::invalid_argument{"assemble: BurstWrite beat mismatch"};
-                pos += 1 + in.imm;
-                break;
-            case TgOp::If:
-            case TgOp::Jump:
-            case TgOp::SetRegister:
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                pos += 2;
-                break;
-            case TgOp::IfImm:
-                pos += 3;
-                break;
-        }
+        pos += encoded_words({in.op, 0, 0, TgCmp::Eq, in.imm});
     }
-    // Second pass: emit.
+    // Second pass: word 0 with the fields the row carries, then imm32,
+    // branch target and beats.
     std::vector<u32> image;
     image.reserve(pos);
     for (const TgInstr& in : prog.instrs) {
-        const auto target_words = [&](u32 idx) {
-            if (idx >= offsets.size())
+        const TgOpFormat& f = *format_of(in.op);
+        image.push_back(word0(f, {in.op, in.a, in.b, in.cmp, in.imm}));
+        if (f.has(kImm)) image.push_back(in.imm);
+        if (f.has(kTarget)) {
+            if (in.target >= offsets.size())
                 throw std::out_of_range{"assemble: branch target out of range"};
-            return offsets[idx];
-        };
-        switch (in.op) {
-            case TgOp::Read:
-                image.push_back(encode_w0(in.op, in.a));
-                break;
-            case TgOp::Write:
-                image.push_back(encode_w0(in.op, in.a, in.b));
-                break;
-            case TgOp::BurstRead:
-                image.push_back(encode_w0(in.op, in.a, 0, TgCmp::Eq, in.imm));
-                break;
-            case TgOp::BurstWrite:
-                image.push_back(encode_w0(in.op, in.a, 0, TgCmp::Eq, in.imm));
-                for (const u32 beat : in.burst_data) image.push_back(beat);
-                break;
-            case TgOp::If:
-                image.push_back(encode_w0(in.op, in.a, in.b, in.cmp));
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::IfImm:
-                image.push_back(encode_w0(in.op, in.a, 0, in.cmp));
-                image.push_back(in.imm);
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::Jump:
-                image.push_back(encode_w0(in.op));
-                image.push_back(target_words(in.target));
-                break;
-            case TgOp::SetRegister:
-                image.push_back(encode_w0(in.op, in.a));
-                image.push_back(in.imm);
-                break;
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                image.push_back(encode_w0(in.op));
-                image.push_back(in.imm);
-                break;
-            case TgOp::Halt:
-                image.push_back(encode_w0(in.op));
-                break;
+            image.push_back(offsets[in.target]);
         }
+        if (f.has(kBeats))
+            image.insert(image.end(), in.burst_data.begin(), in.burst_data.end());
     }
     return image;
 }
@@ -426,65 +350,18 @@ std::vector<AssembledTg> assemble_all(const std::vector<TgProgram>& progs) {
 
 TgProgram disassemble(const std::vector<u32>& image) {
     TgProgram prog;
-    std::map<u32, u32> word_to_index; // word offset -> instruction index
-    std::vector<u32> word_targets;    // per instruction with target: word addr
-    std::vector<std::size_t> target_instrs;
-
-    u32 pos = 0;
-    while (pos < image.size()) {
-        const TgWord0 w0 = decode_w0(image[pos]);
-        word_to_index[pos] = static_cast<u32>(prog.instrs.size());
-        TgInstr in;
-        in.op = w0.op;
-        in.a = w0.a;
-        in.b = w0.b;
-        in.cmp = w0.cmp;
-        const u32 words = encoded_words(w0);
-        if (pos + words > image.size())
-            throw std::invalid_argument{"disassemble: truncated image"};
-        switch (w0.op) {
-            case TgOp::Read:
-            case TgOp::Write:
-            case TgOp::Halt:
-                break;
-            case TgOp::BurstRead:
-                in.imm = check_burst(w0.imm12, "disassemble");
-                break;
-            case TgOp::BurstWrite:
-                in.imm = check_burst(w0.imm12, "disassemble");
-                for (u32 k = 0; k < w0.imm12; ++k)
-                    in.burst_data.push_back(image[pos + 1 + k]);
-                break;
-            case TgOp::If:
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 1]);
-                break;
-            case TgOp::IfImm:
-                in.imm = image[pos + 1];
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 2]);
-                break;
-            case TgOp::Jump:
-                target_instrs.push_back(prog.instrs.size());
-                word_targets.push_back(image[pos + 1]);
-                break;
-            case TgOp::SetRegister:
-            case TgOp::Idle:
-            case TgOp::IdleUntil:
-                in.imm = image[pos + 1];
-                break;
-        }
-        prog.instrs.push_back(std::move(in));
-        pos += words;
-    }
-    for (std::size_t k = 0; k < target_instrs.size(); ++k) {
-        const auto it = word_to_index.find(word_targets[k]);
-        if (it == word_to_index.end())
-            throw std::invalid_argument{"disassemble: branch into instruction middle"};
-        prog.instrs[target_instrs[k]].target = it->second;
-        prog.labels[it->second] = numbered_label(it->second);
+    const std::vector<u32> index_of = decode_image(
+        image, "disassemble", [&](TgInstr&& in) { prog.instrs.push_back(std::move(in)); });
+    for (TgInstr& in : prog.instrs) {
+        if (!format_of(in.op)->has(kTarget)) continue;
+        in.target = index_of[in.target];
+        prog.labels[in.target] = label_for(prog, in.target);
     }
     return prog;
+}
+
+void check_image(const std::vector<u32>& image) {
+    (void)decode_image(image, "TG image", [](TgInstr&&) {});
 }
 
 } // namespace tgsim::tg

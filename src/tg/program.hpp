@@ -86,7 +86,13 @@ struct AssembledTg {
 
 /// Recovers a TgProgram from a binary image (labels regenerated as L<n>).
 /// Register initialisation is not part of the image and comes back empty.
+/// Throws std::invalid_argument on any image assemble() cannot produce
+/// (docs/tg.md), so every image it accepts re-assembles to itself.
 [[nodiscard]] TgProgram disassemble(const std::vector<u32>& image);
+
+/// The decoder's checks alone, run by the TG loaders: throws
+/// std::invalid_argument where disassemble() would, building no program.
+void check_image(const std::vector<u32>& image);
 
 /// Instruction count and word size diagnostics.
 [[nodiscard]] std::size_t encoded_word_count(const TgProgram& prog);

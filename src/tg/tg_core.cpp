@@ -1,8 +1,11 @@
 #include "tg/tg_core.hpp"
 
+#include "tg/program.hpp"
+
 namespace tgsim::tg {
 
 void TgCore::load(std::vector<u32> image) {
+    check_image(image);
     thread_.image = std::move(image);
     reset();
 }

@@ -35,7 +35,8 @@ class TgCore final : public sim::Clocked {
 public:
     explicit TgCore(ocp::ChannelRef channel) : port_(channel) {}
 
-    /// Loads a binary image (see tg/program.hpp) and resets.
+    /// Loads a binary image (see tg/program.hpp) and resets. Throws
+    /// std::invalid_argument on an image check_image() rejects.
     void load(std::vector<u32> image);
     /// Preloads the register file (REGISTER directives).
     void preset_reg(u8 reg, u32 value) {

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 
+#include "tg/program.hpp"
+
 namespace tgsim::tg {
 
 std::size_t TgMultiCore::add_thread(std::vector<u32> image,
                                     const std::array<u32, kTgNumRegs>& regs) {
+    check_image(image);
     Thread t;
     t.image = std::move(image);
     t.regs = regs;

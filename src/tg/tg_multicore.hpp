@@ -57,6 +57,7 @@ public:
 
     /// Adds a thread program (binary image + initial registers). Threads
     /// are scheduled in the order they were added. Returns the thread id.
+    /// Throws std::invalid_argument on an image check_image() rejects.
     std::size_t add_thread(std::vector<u32> image,
                            const std::array<u32, kTgNumRegs>& regs = {});
 

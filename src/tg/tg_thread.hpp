@@ -36,15 +36,14 @@ struct TgThread {
     std::array<u32, kTgNumRegs> regs{};
     u32 pc = 0;
 
-    /// Executes the instruction at pc. BurstWrite beats are driven straight
-    /// from the image, which must not change while the write is in flight.
+    /// Executes the instruction at pc of an image the loader has checked
+    /// (check_image). BurstWrite beats are driven straight from the image,
+    /// which must not change while the write is in flight.
     TgAction step(ocp::MasterPort& port) noexcept {
         if (pc >= image.size()) return {TgAction::End};
         const u32* const at = image.data() + pc; // word 0, then operands
         const TgWord0 w = decode_w0(at[0]);
-        // Input readers reject a zero beat count; a hand-built image
-        // still runs it as one beat.
-        const auto burst = static_cast<u16>(w.imm12 == 0 ? 1 : w.imm12);
+        const auto burst = static_cast<u16>(w.imm12); // checked at load: 1..64
         switch (w.op) {
             case TgOp::Read:
                 port.issue(ocp::Cmd::Read, regs[w.a], 1);
@@ -82,9 +81,9 @@ struct TgThread {
                 pc += 2;
                 return {TgAction::IdleUntil, at[1]};
             case TgOp::Halt:
-                return {TgAction::Halt};
+                break;
         }
-        return {TgAction::Next}; // unknown opcode: retires, pc stays
+        return {TgAction::Halt}; // check_image lets no other opcode through
     }
 
     /// rdreg takes the data of a completed read (last beat).

@@ -3,8 +3,10 @@
 // tg::disassemble (.bin images). The corpus is a translated des run;
 // every case truncates, bit-flips or splices it, and the parser must
 // either accept the result or reject it with std::invalid_argument —
-// never crash, hang or throw anything else. Run under ASan/UBSan, this is
-// the parser-robustness gate.
+// never crash, hang or throw anything else. What the TG readers accept
+// must also round-trip: an accepted image re-assembles to the same
+// words, and an accepted .tgp text reprints to an equal program. Run
+// under ASan/UBSan, this is the parser-robustness gate.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -81,17 +83,23 @@ Seq mutate(const std::vector<Seq>& docs, int kind, sim::Rng& rng) {
     }
 }
 
-/// Feeds kCasesPerKind mutants of each kind to `parse`.
-template <typename Seq, typename Parse>
-void fuzz(const std::vector<Seq>& docs, u64 seed, Parse&& parse) {
+/// Feeds kCasesPerKind mutants of each kind to `parse`, and every mutant
+/// it accepts, with its parse, to `round_trip`.
+template <typename Seq, typename Parse, typename RoundTrip>
+void fuzz(const std::vector<Seq>& docs, u64 seed, Parse&& parse,
+          RoundTrip&& round_trip) {
     ASSERT_FALSE(docs.empty());
     sim::Rng rng{seed};
     int rejected = 0;
+    int accepted = 0;
     for (int kind = 0; kind < 3; ++kind) {
         for (int i = 0; i < kCasesPerKind; ++i) {
             const Seq input = mutate(docs, kind, rng);
+            SCOPED_TRACE(::testing::Message() << "mutation kind " << kind
+                                              << " case " << i);
             try {
-                (void)parse(input);
+                round_trip(input, parse(input));
+                ++accepted;
             } catch (const std::invalid_argument&) {
                 ++rejected;
             } catch (const std::exception& e) {
@@ -101,26 +109,71 @@ void fuzz(const std::vector<Seq>& docs, u64 seed, Parse&& parse) {
             }
         }
     }
-    // The mutants must actually exercise the error paths.
+    // The mutants must actually exercise the error paths and the round trip.
     EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted, 0);
 }
 
 TEST(ParserMutation, ProgramTextParsesOrRejects) {
-    fuzz(corpus().programs, 0x7470ull, [](const std::string& text) {
-        return tg::program_from_text(text);
-    });
+    fuzz(
+        corpus().programs, 0x7470ull,
+        [](const std::string& text) { return tg::program_from_text(text); },
+        [](const std::string&, const tg::TgProgram& prog) {
+            EXPECT_EQ(tg::program_from_text(tg::to_text(prog)), prog);
+        });
 }
 
 TEST(ParserMutation, TraceTextParsesOrRejects) {
-    fuzz(corpus().traces, 0x747263ull, [](const std::string& text) {
-        return tg::trace_from_text(text);
-    });
+    fuzz(
+        corpus().traces, 0x747263ull,
+        [](const std::string& text) { return tg::trace_from_text(text); },
+        [](const std::string&, const tg::Trace&) {});
 }
 
 TEST(ParserMutation, ImageDisassemblesOrRejects) {
-    fuzz(corpus().images, 0x62696eull, [](const std::vector<u32>& image) {
-        return tg::disassemble(image);
-    });
+    fuzz(
+        corpus().images, 0x62696eull,
+        [](const std::vector<u32>& image) { return tg::disassemble(image); },
+        [](const std::vector<u32>& image, const tg::TgProgram& prog) {
+            EXPECT_EQ(tg::assemble(prog), image);
+        });
+}
+
+/// Images the assembler cannot produce: each must be rejected with
+/// std::invalid_argument, by the disassembler and the image check alike.
+TEST(ParserMutation, ImageRejectsWhatAssemblerCannotProduce) {
+    using tg::encode_w0;
+    using tg::TgOp;
+    const u32 halt = encode_w0(TgOp::Halt);
+    const std::vector<std::vector<u32>> bad = {
+        {0x0C000000u, halt},                                  // undefined op
+        {encode_w0(TgOp::If, 1, 2, tg::TgCmp{7}), 0, halt},   // undefined cmp
+        {encode_w0(TgOp::Read, 1, 2), halt},                  // Read with b
+        {encode_w0(TgOp::Read, 1, 0, tg::TgCmp::Ne), halt},   // Read with cmp
+        {encode_w0(TgOp::Halt, 1)},                           // Halt with a
+        {encode_w0(TgOp::Idle, 0, 0, tg::TgCmp::Eq, 3), 5},   // Idle with imm12
+        {encode_w0(TgOp::SetRegister, 1)},                    // truncated
+        {encode_w0(TgOp::Jump), 1, halt},                     // into Jump
+        {encode_w0(TgOp::Jump), 3, halt},                     // past the end
+    };
+    for (const std::vector<u32>& image : bad) {
+        SCOPED_TRACE(::testing::PrintToString(image));
+        EXPECT_THROW((void)tg::disassemble(image), std::invalid_argument);
+        EXPECT_THROW(tg::check_image(image), std::invalid_argument);
+    }
+}
+
+TEST(ParserMutation, ProgramRejectsExtraArguments) {
+    for (const char* body :
+         {"Read(r1, r2)", "Halt(r1)", "Write(r1, r2, )", "Jump(a, b)",
+          "Idle(3) 4", "If(r1 == r2 r3) then a", "If(r1 == r2) then a b",
+          "BurstWrite(r1, 1) {0x1} 0x2", "SetRegister(r1, 2)(3)"}) {
+        SCOPED_TRACE(body);
+        EXPECT_THROW((void)tg::program_from_text(
+                         std::string{"MASTER[0,0]\nBEGIN\na:\n  "} + body +
+                         "\n  Halt\nEND\n"),
+                     std::invalid_argument);
+    }
 }
 
 TEST(ParserMutation, MissingCallArgumentIsInvalidArgument) {

@@ -67,6 +67,13 @@ struct MultiRig {
     }
 };
 
+TEST(TgMultiCore, AddThreadRejectsUndecodableImage) {
+    ocp::Channel ch;
+    TgMultiCore core{ch, TgMultiConfig{}};
+    EXPECT_THROW((void)core.add_thread({0x0C000000u, encode_w0(TgOp::Halt)}),
+                 std::invalid_argument);
+}
+
 TEST(TgMultiCore, SingleThreadRunsToCompletion) {
     MultiRig rig{TgMultiConfig{}};
     rig.core->add_thread(writer_image(0x1000, 100, 5, 2));

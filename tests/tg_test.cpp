@@ -380,6 +380,18 @@ TEST(TgCore, EmptyImageHaltsImmediately) {
     EXPECT_TRUE(core.done());
 }
 
+TEST(TgCore, LoadRejectsUndecodableImage) {
+    // Opcode 0x0C is undefined: an unchecked core retired it without
+    // moving pc and spun until the cycle budget.
+    ocp::Channel ch;
+    TgCore core{ch};
+    EXPECT_THROW(core.load({0x0C000000u, encode_w0(TgOp::Halt)}),
+                 std::invalid_argument);
+    // A zero beat count, which the core used to run as one beat.
+    EXPECT_THROW(core.load({encode_w0(TgOp::BurstRead, 1), encode_w0(TgOp::Halt)}),
+                 std::invalid_argument);
+}
+
 // --- Stochastic TG ---
 
 TEST(StochasticTg, IssuesExactTransactionCountThenHalts) {
